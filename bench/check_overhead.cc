@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "src/analysis/check.h"
-#include "src/analysis/kseg_mutate.h"
-#include "src/analysis/shard_mutate.h"
+#include "tests/support/kseg_mutate.h"
+#include "tests/support/shard_mutate.h"
 #include "src/audit/stream.h"
 #include "src/server/server.h"
 #include "src/workload/workload.h"
@@ -207,7 +207,7 @@ int Main(int argc, char** argv) {
   std::printf("fuzz corpus [auction]: %zu mutations, %zu caught statically (%.1f%%)\n",
               auction_catch.mutations, auction_catch.caught, 100.0 * auction_catch.fraction);
 
-  // Shard-axis corpus (src/analysis/shard_mutate.h): fraction of shard
+  // Shard-axis corpus (tests/support/shard_mutate.h): fraction of shard
   // file/boundary/artifact mutations rejected with a KAR-SEG rule by the
   // load/merge structural layer.
   FuzzCatch shard_catch;

@@ -24,8 +24,7 @@ bool Trace::IsBalanced(std::string* reason) const {
     }
   }
   // Report the smallest unresponded rid: the message must not depend on hash
-  // order, because the streaming audit reproduces it at Finish and its verdict
-  // has to be bit-identical to the one-shot check here.
+  // order (the verifier's own balance check reports the same rid).
   std::optional<RequestId> missing;
   for (const auto& [rid, s] : state) {
     if (s != 2 && (!missing || rid < *missing)) {

@@ -5,11 +5,12 @@
 // state — serializes to a single checkpoint frame, so an interrupted audit
 // resumes from the last completed epoch instead of restarting.
 //
-// Contract with the one-shot Audit(): for the same complete (trace, advice)
-// pair, feeding the slices of any epoch size (including one epoch holding
-// everything) reaches the same verdict, reason, rule, and diagnostics as
-// Verifier::Audit — honest runs and single-fault adversarial runs alike.
-// What streaming buys is memory: per-epoch advice is dropped once its epoch
+// The session and Verifier::Audit drive the same epoch pipeline
+// (src/verifier/verifier.h); Audit is that pipeline fed the whole run as one
+// final epoch. So for the same complete (trace, advice) pair, feeding the
+// slices of any epoch size reaches Audit's verdict, reason, rule, and
+// diagnostics, honest runs and single-fault adversarial runs alike. What
+// smaller epochs buy is memory: per-epoch advice is dropped once its epoch
 // is re-executed, and only the compact carries (transaction shapes, PUT
 // payloads, var-log entry kinds plus write values) stay resident.
 #ifndef SRC_VERIFIER_SESSION_H_

@@ -44,99 +44,14 @@ void AuditStats::Merge(const AuditStats& other) {
 }
 
 AuditResult Verifier::Audit(const Trace& trace, const Advice& advice) {
-  trace_ = &trace;
-  advice_ = &advice;
-  AuditResult result;
-  PhaseTimer total_timer(&profile_.total_seconds);
-  try {
-    {
-      PhaseTimer t(&profile_.preprocess_seconds);
-      Preprocess();
-    }
-    {
-      PhaseTimer t(&profile_.reexec_seconds);
-      ReExec();
-    }
-    {
-      PhaseTimer t(&profile_.postprocess_seconds);
-      Postprocess();
-    }
-    result.accepted = true;
-  } catch (const RejectError& e) {
-    result.reason = e.reason;
-    result.rule = e.rule;
-  } catch (const std::exception& e) {
-    // Malformed advice must never crash the verifier: any fault surfacing
-    // from re-executed application code counts as server misbehavior.
-    result.reason = std::string("re-execution fault: ") + e.what();
-  }
-  result.diagnostics = std::move(diagnostics_);
-  diagnostics_.clear();
-  stats_.graph_nodes = graph_.node_count();
-  stats_.graph_edges = graph_.edge_count();
-  for (const auto& [vid, var] : vars_) {
-    for (const auto& [key, writes] : var.var_dict) {
-      stats_.var_dict_entries += writes.size();
-    }
-  }
-  result.stats = stats_;
-  total_timer.Stop();
-  profile_.ops_executed = stats_.ops_executed;
-  result.profile = profile_;
-  return result;
-}
-
-void Verifier::Preprocess() {
-  std::string reason;
-  if (!trace_->IsBalanced(&reason)) {
-    Reject("trace is not balanced: " + reason);
-  }
-  for (RequestId rid : trace_->RequestIds()) {
-    if (rid == kInitRequestId) {
-      Reject("trace contains the reserved init request id");
-    }
-    trace_rids_.insert(rid);
-  }
-  for (const TraceEvent& ev : trace_->events) {
-    if (ev.kind == TraceEvent::Kind::kRequest) {
-      request_inputs_[ev.rid] = ev.payload;
-    } else {
-      responses_[ev.rid] = ev.payload;
-    }
-  }
-  RunAnalysisPasses();
-  BuildAdviceIndices();
-  RunInitialization();  // Implemented with ReplayCtx in reexec.cc.
-  AddTimePrecedenceEdges();
-  AddProgramEdges();
-  AddBoundaryEdges();
-  AddHandlerRelatedEdges();
-  AddExternalStateEdges();
-  IsolationLevelVerification();
-}
-
-void Verifier::RunAnalysisPasses() {
-  // Structural advice lint (src/analysis/lint.h). All findings are kept for
-  // the result; the first error becomes the structured rejection so callers
-  // see the rule ID without grepping the reason text.
-  for (LintDiagnostic& d : LintAdvice(*trace_, *advice_)) {
-    diagnostics_.push_back(std::move(d));
-  }
-  // Happens-before race scan over untracked accesses, when the caller
-  // supplied the server-side log. Races are Completeness hazards (the
-  // developer must annotate the variable), not proof of misbehavior: they are
-  // reported as warnings, never rejected on.
-  if (untracked_accesses_ != nullptr) {
-    for (LintDiagnostic& d :
-         RaceFindingsToDiagnostics(DetectUntrackedRaces(*untracked_accesses_))) {
-      diagnostics_.push_back(std::move(d));
-    }
-  }
-  for (const LintDiagnostic& d : diagnostics_) {
-    if (d.severity == LintSeverity::kError) {
-      throw RejectError(d.rule, "advice lint: " + d.Format());
-    }
-  }
+  // One final epoch over the caller's trace and advice. The pre-screen's
+  // cross-epoch rules have nothing to check in a single epoch, so it stays
+  // off (it is a streaming-only fast path).
+  static const ContinuityImports kNoImports;
+  config_.prescreen = false;
+  StreamBegin(0);
+  StreamEpoch(trace.events, advice, kNoImports, /*segment=*/nullptr);
+  return StreamFinish();
 }
 
 void Verifier::BuildAdviceIndices() {
@@ -194,39 +109,6 @@ void Verifier::BuildAdviceIndices() {
   op_map_.reserve(handler_ops + tx_ops);
 }
 
-void Verifier::AddTimePrecedenceEdges() {
-  // Encodes exactly the response-before-request constraints of the trace with
-  // O(n) edges: responses feed an auxiliary epoch chain, and each request
-  // arrival hangs off the most recent epoch. Epoch nodes have no incoming
-  // edges from requests, so no spurious response-response or request-request
-  // ordering is introduced (that would break Completeness).
-  uint64_t epoch_count = 0;
-  bool have_epoch = false;
-  NodeKey current_epoch{};
-  std::vector<RequestId> pending_responses;
-  for (const TraceEvent& ev : trace_->events) {
-    if (ev.kind == TraceEvent::Kind::kResponse) {
-      pending_responses.push_back(ev.rid);
-      continue;
-    }
-    if (!pending_responses.empty()) {
-      NodeKey next{kEpochMarker, ++epoch_count, 0};
-      if (have_epoch) {
-        graph_.AddEdge(current_epoch, next);
-      }
-      for (RequestId resp_rid : pending_responses) {
-        graph_.AddEdge(NodeKey::ForResponseDelivery(resp_rid), next);
-      }
-      pending_responses.clear();
-      current_epoch = next;
-      have_epoch = true;
-    }
-    if (have_epoch) {
-      graph_.AddEdge(current_epoch, NodeKey::ForRequestArrival(ev.rid));
-    }
-  }
-}
-
 void Verifier::AddProgramEdges() {
   for (const auto& [key, count] : advice_->opcounts) {
     const auto& [rid, hid] = key;
@@ -271,7 +153,7 @@ void Verifier::AddBoundaryEdges() {
       Reject("responseEmittedBy entry for request not in trace");
     }
   }
-  for (RequestId rid : streaming_ ? epoch_rids_ : trace_rids_) {
+  for (RequestId rid : epoch_rids_) {
     auto it = resp_idx_.find(rid);
     if (it == resp_idx_.end()) {
       Reject("responseEmittedBy missing for request " + std::to_string(rid));
@@ -370,15 +252,12 @@ void Verifier::AddHandlerRelatedEdges() {
 }
 
 void Verifier::AddExternalStateEdges() {
-  if (streaming_) {
-    // Incremental analysis: epoch slices arrive in epoch order, which visits
-    // transactions in the same global sorted order AnalyzeLogs would, so the
-    // accumulated history_ — and the first rejection — are identical.
-    AnalyzeLogsInto(advice_->tx_logs, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
-                    &history_);
-  } else {
-    history_ = AnalyzeLogs(advice_->tx_logs);
-  }
+  // Incremental analysis: epoch slices arrive in epoch order, which visits
+  // transactions in the same global sorted order AnalyzeLogs would over the
+  // whole run, so the accumulated history_ — and the first rejection — do not
+  // depend on the epoch size.
+  AnalyzeLogsInto(advice_->tx_logs, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
+                  &history_);
   if (!history_.ok) {
     Reject(history_.reason);
   }
@@ -407,16 +286,6 @@ void Verifier::AddExternalStateEdges() {
                        NodeKey::ForOp(cur));
       }
     }
-  }
-}
-
-void Verifier::IsolationLevelVerification() {
-  IsolationCheckResult result =
-      CheckIsolation(config_.isolation, advice_->tx_logs, advice_->write_order, history_);
-  stats_.isolation_dg_nodes = result.dg_nodes;
-  stats_.isolation_dg_edges = result.dg_edges;
-  if (!result.ok) {
-    Reject("isolation verification failed: " + result.reason);
   }
 }
 
@@ -471,7 +340,7 @@ void Verifier::AddInternalStateEdges() {
   }
 }
 
-// --- Epoch-streaming implementation (driven by AuditSession) ----------------
+// --- The epoch pipeline (Audit, AuditSession and ShardAudit all drive it) ---
 
 ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
   auto it = tx_log_idx_.find(TxnKey{ref.rid, ref.tid});
@@ -489,9 +358,6 @@ ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
       out.opnum = op.opnum;
     }
     return out;
-  }
-  if (!streaming_) {
-    return ResolvedTxOp{};
   }
   auto size_it = txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
   if (size_it != txn_size_carry_.end()) {
@@ -537,9 +403,6 @@ Verifier::ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op)
       return {true, entry.kind == VarLogEntry::Kind::kWrite, &entry.value};
     }
   }
-  if (!streaming_) {
-    return {};
-  }
   auto carry_it = var_carry_.find({vid, op});
   if (carry_it != var_carry_.end()) {
     const VarCarry& carry = carry_it->second;
@@ -555,7 +418,6 @@ Verifier::ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op)
 }
 
 void Verifier::StreamBegin(uint64_t epoch_requests) {
-  streaming_ = true;
   epoch_requests_ = epoch_requests;
   if (config_.prescreen) {
     carry_lint_.Begin(epoch_requests, /*standalone=*/false);
@@ -564,9 +426,8 @@ void Verifier::StreamBegin(uint64_t epoch_requests) {
 }
 
 void Verifier::StreamIngestWindow(const std::vector<TraceEvent>& window) {
-  // Balance transitions first, then the reserved-id check and input/response
-  // capture — the same fault order as the one-shot Preprocess (IsBalanced
-  // runs before the rid-0 scan), with the same reason strings.
+  // Balance transitions first (the Trace::IsBalanced reasons, prefixed), then
+  // the reserved-id check and input/response capture.
   for (const TraceEvent& ev : window) {
     uint8_t& s = balance_[ev.rid];
     if (ev.kind == TraceEvent::Kind::kRequest) {
@@ -595,10 +456,14 @@ void Verifier::StreamIngestWindow(const std::vector<TraceEvent>& window) {
   }
 }
 
-void Verifier::StreamTimePrecedence(const std::vector<TraceEvent>& window) {
-  // AddTimePrecedenceEdges over a window, with the chain state persisted
-  // across windows: concatenating every window replays the full trace event
-  // stream, so the streamed edge set is identical to the one-shot pass.
+void Verifier::AddTimePrecedenceEdges(const std::vector<TraceEvent>& window) {
+  // Encodes exactly the response-before-request constraints of the trace with
+  // O(n) edges: responses feed an auxiliary epoch chain, and each request
+  // arrival hangs off the most recent epoch. Epoch nodes have no incoming
+  // edges from requests, so no spurious response-response or request-request
+  // ordering is introduced (that would break Completeness). The chain state
+  // persists across windows, so the edge set does not depend on how the
+  // trace was cut into windows.
   for (const TraceEvent& ev : window) {
     if (ev.kind == TraceEvent::Kind::kResponse) {
       tp_pending_responses_.push_back(ev.rid);
@@ -623,14 +488,20 @@ void Verifier::StreamTimePrecedence(const std::vector<TraceEvent>& window) {
 }
 
 void Verifier::StreamEpoch(const EpochSegment& segment) {
+  StreamEpoch(segment.window, segment.advice, segment.imports, &segment);
+}
+
+void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& advice,
+                           const ContinuityImports& imports, const EpochSegment* segment) {
   if (decided_) {
     return;  // Drain: the verdict is already determined.
   }
+  const bool final_epoch = segment == nullptr;
   PhaseTimer total_timer(&profile_.total_seconds);
   try {
     {
       PhaseTimer t(&profile_.preprocess_seconds);
-      StreamIngestWindow(segment.window);
+      StreamIngestWindow(window);
       epoch_rids_.clear();
       for (RequestId rid : trace_rids_) {
         if (EpochOfRid(rid, epoch_requests_) == epochs_fed_) {
@@ -639,8 +510,8 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
       }
       // Epoch completeness: every request of this epoch must have both
       // arrived and responded by the end of its window — the collector's
-      // rollover guarantees that, so a gap is misbehavior. The reason matches
-      // the one-shot balance check, keeping single-fault verdicts aligned.
+      // rollover guarantees that, so a gap is misbehavior. The reason is the
+      // trace balance check's.
       for (RequestId rid : epoch_rids_) {
         auto bal = balance_.find(rid);
         if (bal == balance_.end() || bal->second != 2) {
@@ -656,17 +527,20 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
           it = shard_rids_->count(*it) != 0 ? std::next(it) : epoch_rids_.erase(it);
         }
       }
-      advice_ = &segment.advice;
-      for (const auto& imp : segment.imports.tx_ops) {
+      advice_ = &advice;
+      for (const auto& imp : imports.tx_ops) {
         pending_tx_imports_.emplace(imp.ref, imp);
       }
-      for (const auto& imp : segment.imports.var_entries) {
+      for (const auto& imp : imports.var_entries) {
         pending_var_imports_.emplace(std::make_pair(imp.vid, imp.op), imp);
       }
       if (config_.prescreen) {
-        carry_lint_.RegisterImports(segment);
+        carry_lint_.RegisterImports(*segment);
       }
-      // Slice-local lint; the global write-order rules run once at Finish.
+      BuildAdviceIndices();
+      // Slice-local lint. The write-order rules are global: they run at
+      // Finish over the concatenated order, except in a final epoch, whose
+      // order is the whole order.
       LintEpochContext lint_ctx;
       lint_ctx.trace_rids = &trace_rids_;
       lint_ctx.epoch_rids = &epoch_rids_;
@@ -676,8 +550,19 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
       };
       lint_ctx.tx_op = [this](const TxOpRef& ref) { return ResolveTxOp(ref); };
       size_t first_new = diagnostics_.size();
-      for (LintDiagnostic& d : LintAdviceEpoch(segment.advice, lint_ctx)) {
+      for (LintDiagnostic& d : LintAdviceEpoch(advice, lint_ctx)) {
         diagnostics_.push_back(std::move(d));
+      }
+      if (final_epoch) {
+        // Spliced in before rules 011..014, so every finding stays in rule-ID
+        // order (LintAdvice's order) and a rejected audit carries them all.
+        std::vector<LintDiagnostic> order_findings;
+        LintWriteOrder(advice.write_order, lint_ctx.tx_op, &order_findings);
+        auto at = std::find_if(diagnostics_.begin() + static_cast<ptrdiff_t>(first_new),
+                               diagnostics_.end(),
+                               [](const LintDiagnostic& d) { return d.rule > "KAR-ADV-010"; });
+        diagnostics_.insert(at, std::make_move_iterator(order_findings.begin()),
+                            std::make_move_iterator(order_findings.end()));
       }
       for (size_t i = first_new; i < diagnostics_.size(); ++i) {
         if (diagnostics_[i].severity == LintSeverity::kError) {
@@ -688,25 +573,24 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
         // Fast-reject pre-screen: the cross-epoch static rules, before any of
         // this epoch's graph building or re-execution.
         size_t first_seg = diagnostics_.size();
-        carry_lint_.CheckEpoch(segment, trace_rids_, &diagnostics_);
+        carry_lint_.CheckEpoch(*segment, trace_rids_, &diagnostics_);
         for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
           if (diagnostics_[i].severity == LintSeverity::kError) {
             throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
           }
         }
       }
-      BuildAdviceIndices();
       if (!init_done_) {
         RunInitialization();
         init_done_ = true;
       }
-      StreamTimePrecedence(segment.window);
+      AddTimePrecedenceEdges(window);
       AddProgramEdges();
       AddBoundaryEdges();
       AddHandlerRelatedEdges();
       AddExternalStateEdges();
-      stream_write_order_.insert(stream_write_order_.end(), segment.advice.write_order.begin(),
-                                 segment.advice.write_order.end());
+      stream_write_order_.insert(stream_write_order_.end(), advice.write_order.begin(),
+                                 advice.write_order.end());
     }
     {
       PhaseTimer t(&profile_.reexec_seconds);
@@ -718,18 +602,26 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
     decided_rule_ = e.rule;
     decided_epoch_ = epochs_fed_;
   } catch (const std::exception& e) {
+    // Malformed advice must never crash the verifier: any fault surfacing
+    // from re-executed application code counts as server misbehavior.
     decided_ = true;
     decided_reason_ = std::string("re-execution fault: ") + e.what();
     decided_epoch_ = epochs_fed_;
   }
-  StreamEndEpoch(segment);
+  // A final epoch keeps its slice: nothing follows it, so there is nothing to
+  // fold, and its indices serve Finish directly.
+  if (final_epoch) {
+    final_epoch_fed_ = true;
+  } else {
+    StreamEndEpoch(*segment);
+  }
   ++epochs_fed_;
 }
 
 size_t Verifier::MeasureResidentBytes(const EpochSegment& segment) const {
   // What the session must hold to keep auditing: this epoch's slice and
   // imports plus the carried state of every completed epoch, measured in
-  // serialized bytes (the same metric as the one-shot advice footprint).
+  // serialized bytes (the same metric as the whole advice's footprint).
   ByteWriter w;
   segment.advice.Serialize(&w);
   segment.imports.Serialize(&w);
@@ -892,19 +784,22 @@ AuditResult Verifier::StreamFinish() {
         }
       }
       // Residual imbalance: responses the stream never delivered. balance_ is
-      // sorted, so the smallest rid reports — same as the one-shot check.
+      // sorted, so the smallest rid reports.
       for (const auto& [rid, state] : balance_) {
         if (state != 2) {
           Reject("trace is not balanced: request " + std::to_string(rid) + " has no response");
         }
       }
-      // Global write-order lint over the concatenated order (rules 009/010).
-      size_t first_new = diagnostics_.size();
-      LintWriteOrder(stream_write_order_,
-                     [this](const TxOpRef& ref) { return ResolveTxOp(ref); }, &diagnostics_);
-      for (size_t i = first_new; i < diagnostics_.size(); ++i) {
-        if (diagnostics_[i].severity == LintSeverity::kError) {
-          throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
+      // Global write-order lint over the concatenated order (rules 009/010);
+      // a final epoch already ran it beside its slice lint.
+      if (!final_epoch_fed_) {
+        size_t first_new = diagnostics_.size();
+        LintWriteOrder(stream_write_order_,
+                       [this](const TxOpRef& ref) { return ResolveTxOp(ref); }, &diagnostics_);
+        for (size_t i = first_new; i < diagnostics_.size(); ++i) {
+          if (diagnostics_[i].severity == LintSeverity::kError) {
+            throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
+          }
         }
       }
       if (config_.prescreen) {
@@ -943,8 +838,10 @@ AuditResult Verifier::StreamFinish() {
       result.reason = std::string("re-execution fault: ") + e.what();
     }
   }
-  // Race findings sit after every lint diagnostic, matching their position in
-  // the one-shot result (RunAnalysisPasses appends them last).
+  // Happens-before race scan over untracked accesses, when the caller
+  // supplied the server-side log. Races are Completeness hazards (the
+  // developer must annotate the variable), not proof of misbehavior: they are
+  // reported as warnings after every lint diagnostic, never rejected on.
   if (untracked_accesses_ != nullptr) {
     for (LintDiagnostic& d :
          RaceFindingsToDiagnostics(DetectUntrackedRaces(*untracked_accesses_))) {

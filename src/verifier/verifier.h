@@ -2,6 +2,8 @@
 // (Figures 14-21). The verifier holds the golden-master Program, receives the
 // trusted trace and the untrusted advice, and accepts iff the trace could
 // have been produced by some schedule of the program on those requests.
+// There is one audit pipeline: a run is fed as a sequence of epochs, and the
+// one-shot Audit() is that pipeline fed a single, final epoch.
 //
 // The same verifier audits both Karousos and Orochi-JS advice: grouping is
 // driven by the (untrusted) tags in the advice, and every difference between
@@ -63,11 +65,14 @@ struct VerifierConfig {
   // Audit-group parallelism for ReExec: 0 = one thread per hardware thread,
   // 1 = the serial path (the determinism oracle), N = N worker threads.
   unsigned threads = 1;
-  // Streaming-only: run the cross-epoch static model check (KAR-SEG rules,
-  // src/analysis/carry_lint.h) as a fast-reject pre-screen inside each epoch,
-  // before that epoch's re-execution. Off switches to the purely dynamic
-  // path; the verdict is identical either way (the pre-screen only ever
-  // rejects advice the dynamic checks would also reject).
+  // Run the cross-epoch static model check (KAR-SEG rules,
+  // src/analysis/carry_lint.h) as a fast-reject pre-screen inside each fed
+  // epoch, before that epoch's re-execution. Only segment-fed audits
+  // (AuditSession, RunShardAudit) consult it: Verifier::Audit's single final
+  // epoch has no cross-epoch state to check, so it never pre-screens. Off
+  // switches to the purely dynamic path; the verdict is identical either way
+  // (the pre-screen only ever rejects advice the dynamic checks would also
+  // reject).
   bool prescreen = true;
 };
 
@@ -108,7 +113,8 @@ class Verifier {
   Verifier(const Program& program, const VerifierConfig& config)
       : program_(program), config_(config) {}
 
-  // One-shot: audits a single (trace, advice) pair.
+  // One-shot: audits a complete (trace, advice) pair as one final epoch of
+  // the epoch pipeline. Both must outlive the call; nothing is copied.
   AuditResult Audit(const Trace& trace, const Advice& advice);
 
   // Optional: supply the server-side untracked-access log so that the
@@ -198,22 +204,20 @@ class Verifier {
     std::string rule;
   };
 
-  // --- Preprocess (Figure 14) -------------------------------------------
-  void Preprocess();
-  // Builds the hashed advice indices below and pre-sizes the execution graph
-  // from the advice cardinalities. Must run before anything consults the
-  // idx_ members (the graph passes and all of ReExec).
+  // --- Preprocess (Figure 14), per epoch ------------------------------------
+  // Builds the hashed advice indices below over the current slice and
+  // pre-sizes the execution graph from its cardinalities. Must run before
+  // anything consults the idx_ members (the lint hooks, the graph passes and
+  // all of ReExec).
   void BuildAdviceIndices();
-  // Analysis-layer preprocess: structural advice lint (rejecting on the
-  // first error, with its rule ID) plus the untracked-access race scan.
-  void RunAnalysisPasses();
   void RunInitialization();
-  void AddTimePrecedenceEdges();
+  // Time-precedence edges for one trace window; the chain state persists
+  // across windows (tp_* below).
+  void AddTimePrecedenceEdges(const std::vector<TraceEvent>& window);
   void AddProgramEdges();
   void AddBoundaryEdges();
   void AddHandlerRelatedEdges();
   void AddExternalStateEdges();
-  void IsolationLevelVerification();
   void CheckOpIsValid(RequestId rid, HandlerId hid, OpNum opnum);
 
   // --- ReExec (Figures 18-19) --------------------------------------------
@@ -227,20 +231,25 @@ class Verifier {
   // cross-group conflict or on the group's own captured rejection.
   void MergeGroup(GroupState& gs);
 
-  // --- Postprocess (Figure 21) --------------------------------------------
+  // --- Postprocess (Figure 21), once at StreamFinish ------------------------
   void Postprocess();
   void AddInternalStateEdges();
 
-  // --- Epoch-streaming support (driven by AuditSession) --------------------
+  // --- The epoch pipeline (driven by Audit, AuditSession and ShardAudit) ----
   //
-  // The streaming audit feeds one EpochSegment at a time. Each epoch runs the
-  // slice-local preprocess passes and re-executes the epoch's groups, then
-  // StreamEndEpoch folds the slice into compact carried state and drops the
-  // per-epoch structures. Globally-scoped checks (write-order lint, isolation,
-  // internal-state edges, the graph cycle check, import confirmation) run once
-  // at StreamFinish, which assembles the verdict. The one-shot Audit() path is
-  // untouched: streaming_ is false there and every ResolveTxOp/ResolveVarEntry
-  // call collapses to the original direct index lookup.
+  // StreamBegin, then StreamEpoch once per epoch, then StreamFinish. Each
+  // epoch runs the slice-local preprocess passes and re-executes the epoch's
+  // groups. After a non-final epoch, StreamEndEpoch folds the slice into
+  // compact carried state and drops the per-epoch structures, so later epochs
+  // resolve cross-epoch references through the carries. Globally-scoped
+  // checks (write-order lint, import confirmation, isolation, internal-state
+  // edges, the graph cycle check) run once at StreamFinish, which assembles
+  // the verdict.
+  //
+  // Audit() feeds the whole run as one final epoch: it skips StreamEndEpoch
+  // (nothing follows, so there is nothing to fold or measure), keeps the
+  // slice indices live into StreamFinish, and runs the write-order lint in
+  // the epoch's lint slot, so a rejected audit carries every lint finding.
 
   // Carried view of a completed epoch's PUT (everything any later consumer —
   // GET feed, WR edge, write-order lint, isolation extraction — can ask for).
@@ -265,9 +274,8 @@ class Verifier {
     const Value* value = nullptr;
   };
 
-  // Resolve a transaction-log / var-log coordinate: current slice first (the
-  // one-shot lookup, and the only step taken when !streaming_), then carried
-  // state from completed epochs, then forward continuity imports.
+  // Resolve a transaction-log / var-log coordinate: current slice first, then
+  // carried state from completed epochs, then forward continuity imports.
   ResolvedTxOp ResolveTxOp(const TxOpRef& ref) const;
   ResolvedVarEntry ResolveVarEntry(VarId vid, const OpRef& op) const;
 
@@ -287,10 +295,16 @@ class Verifier {
   }
 
   void StreamBegin(uint64_t epoch_requests);
+  // Feeds a segment as a non-final epoch (AuditSession, ShardAudit).
   void StreamEpoch(const EpochSegment& segment);
+  // The epoch body, over caller-owned window, advice slice and imports.
+  // `segment` is the segment they alias when one is fed (it drives the
+  // pre-screen and the end-of-epoch fold); nullptr marks the final epoch
+  // Audit() feeds, whose slice stays live until StreamFinish.
+  void StreamEpoch(const std::vector<TraceEvent>& window, const Advice& advice,
+                   const ContinuityImports& imports, const EpochSegment* segment);
   AuditResult StreamFinish();
   void StreamIngestWindow(const std::vector<TraceEvent>& window);
-  void StreamTimePrecedence(const std::vector<TraceEvent>& window);
   void StreamEndEpoch(const EpochSegment& segment);
   void StreamConfirmImports();
   size_t MeasureResidentBytes(const EpochSegment& segment) const;
@@ -307,7 +321,7 @@ class Verifier {
   const Program& program_;
   VerifierConfig config_;
 
-  const Trace* trace_ = nullptr;
+  // The current epoch's advice slice (the whole advice for a final epoch).
   const Advice* advice_ = nullptr;
   const UntrackedAccessLog* untracked_accesses_ = nullptr;
   std::vector<LintDiagnostic> diagnostics_;
@@ -361,11 +375,13 @@ class Verifier {
   AuditStats stats_;
   AuditProfile profile_;
 
-  // --- Streaming state (untouched on the one-shot path) --------------------
+  // --- Cross-epoch state ----------------------------------------------------
   // All cross-epoch containers are std::map/std::set: their sorted iteration
   // order is the checkpoint wire format, which must be canonical.
-  bool streaming_ = false;
   bool init_done_ = false;
+  // Set once Audit()'s final epoch is fed: StreamFinish then skips the
+  // write-order lint, which that epoch already ran.
+  bool final_epoch_fed_ = false;
   uint64_t epoch_requests_ = 0;
   uint64_t epochs_fed_ = 0;
   // A rejection raised mid-stream; the verdict is still only assembled at
@@ -400,7 +416,7 @@ class Verifier {
   // run per epoch before re-execution, sharing the session checkpoint.
   CarryLint carry_lint_;
   // var_dict entries dropped by per-epoch pruning, so the final
-  // stats.var_dict_entries matches the one-shot count.
+  // stats.var_dict_entries does not depend on the epoch size.
   size_t var_dict_entries_pruned_ = 0;
   // High-water mark of serialized resident advice-derived bytes (slice +
   // imports + carries), the quantity the epoch bench plots.

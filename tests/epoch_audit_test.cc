@@ -52,8 +52,28 @@ void ExpectSameOutcome(const AuditResult& expected, const AuditResult& actual,
   }
 }
 
+// At one epoch the streamed session and the one-shot audit do the same work,
+// so every counter matches too (perfbench's verifier.* metrics read them).
+void ExpectSameStats(const AuditResult& expected, const AuditResult& actual,
+                     const std::string& context) {
+  const AuditStats& e = expected.stats;
+  const AuditStats& a = actual.stats;
+  EXPECT_EQ(e.groups, a.groups) << context;
+  EXPECT_EQ(e.group_lane_total, a.group_lane_total) << context;
+  EXPECT_EQ(e.handler_executions, a.handler_executions) << context;
+  EXPECT_EQ(e.handler_lanes, a.handler_lanes) << context;
+  EXPECT_EQ(e.ops_executed, a.ops_executed) << context;
+  EXPECT_EQ(e.graph_nodes, a.graph_nodes) << context;
+  EXPECT_EQ(e.graph_edges, a.graph_edges) << context;
+  EXPECT_EQ(e.var_dict_entries, a.var_dict_entries) << context;
+  EXPECT_EQ(e.isolation_dg_nodes, a.isolation_dg_nodes) << context;
+  EXPECT_EQ(e.isolation_dg_edges, a.isolation_dg_edges) << context;
+  EXPECT_EQ(expected.profile.advice_index_entries, actual.profile.advice_index_entries)
+      << context;
+}
+
 // The equivalence sweep: one-shot oracle vs epoch sizes {1, 7, 50, 0=∞} at
-// threads {1, 4}.
+// threads {1, 4}; at epoch size 0 the stats must match as well.
 void ExpectStreamMatchesOneShot(const HonestRun& run) {
   AuditResult oneshot =
       AuditOnly(run.app, run.server.trace, run.server.advice,
@@ -65,9 +85,12 @@ void ExpectStreamMatchesOneShot(const HonestRun& run) {
           run.app, run.server.trace, run.server.advice,
           VerifierConfig{IsolationLevel::kSerializable, threads}, epoch_size,
           &run.server.untracked_accesses);
-      ExpectSameOutcome(oneshot, streamed.audit,
-                        "epoch_size=" + std::to_string(epoch_size) +
-                            " threads=" + std::to_string(threads));
+      std::string context = "epoch_size=" + std::to_string(epoch_size) +
+                            " threads=" + std::to_string(threads);
+      ExpectSameOutcome(oneshot, streamed.audit, context);
+      if (epoch_size == 0) {
+        ExpectSameStats(oneshot, streamed.audit, context);
+      }
     }
   }
 }

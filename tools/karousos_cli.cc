@@ -95,7 +95,8 @@ int Usage() {
                "      verdict, purely dynamic rejection path)\n"
                "      --threads: audit-group parallelism (1 = serial, 0 = all hardware\n"
                "      threads); the verdict is identical for every value\n"
-               "      --profile: print phase-timing JSON (Preprocess/ReExec/Postprocess)\n"
+               "      --profile: print phase-timing JSON (Preprocess/ReExec/Postprocess;\n"
+               "      the isolation check runs at the end and counts in Postprocess)\n"
                "      --epoch-size: stream the audit in epochs of N requests (0 = one\n"
                "      epoch); same verdict as the one-shot audit, bounded advice memory\n"
                "      --checkpoint: save the carry state to FILE after every epoch\n"

@@ -3,7 +3,7 @@
 // may crash on any of them. Where both the checker and the audit name a rule,
 // they must name the same one (the pre-screen *is* the audit's static half).
 //
-// Corpus: src/analysis/kseg_mutate.h over one honest run per seed family —
+// Corpus: tests/support/kseg_mutate.h over one honest run per seed family —
 // the nine adversarial seeds from tests/epoch_audit_test.cc, cross-epoch
 // slice defects, byte-level frame damage against every frame of both streams,
 // and codec damage (flag tampering, fixed-up truncation, declared-size lies)
@@ -16,7 +16,7 @@
 //               advice a different shape, so frame- and slice-level damage
 //               lands on different structures.
 //
-// A third family ("shard", src/analysis/shard_mutate.h) attacks the shard
+// A third family ("shard", tests/support/shard_mutate.h) attacks the shard
 // axis: byte and boundary-manifest damage against encoded shard files, and
 // merge-only artifact tampering where every shard passes individually — the
 // whole load → audit-shard → audit-merge pipeline must reject each one.
@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "src/analysis/check.h"
-#include "src/analysis/kseg_mutate.h"
-#include "src/analysis/shard_mutate.h"
+#include "tests/support/kseg_mutate.h"
+#include "tests/support/shard_mutate.h"
 #include "src/apps/app.h"
 #include "src/audit/stream.h"
 #include "src/server/server.h"
@@ -235,7 +235,7 @@ FamilyStats RunFamily(const Family& family) {
   return stats;
 }
 
-// The shard-axis family: the corpus of src/analysis/shard_mutate.h over a
+// The shard-axis family: the corpus of tests/support/shard_mutate.h over a
 // stacks run sharded two ways. "Static" here means the rejection carries a
 // KAR-SEG rule — the load/merge structural layer caught it without (or
 // before) any re-execution deciding.
