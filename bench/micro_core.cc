@@ -93,7 +93,7 @@ BENCHMARK(BM_MultiValueZipCollapsed);
 void BM_MultiValueZipExpanded(benchmark::State& state) {
   std::vector<Value> lanes;
   for (int i = 0; i < state.range(0); ++i) {
-    lanes.push_back(Value(i));
+    lanes.emplace_back(i);
   }
   MultiValue a = MultiValue::Expanded(lanes);
   for (auto _ : state) {

@@ -31,8 +31,7 @@ std::string ExpensiveHex(uint64_t digest, uint64_t units) {
 }  // namespace
 
 MultiValue MvField(const MultiValue& mv, std::string_view key) {
-  std::string k(key);
-  return MultiValue::Map(mv, [k](const Value& v) { return v.Field(k); });
+  return MultiValue::Map(mv, [key](const Value& v) { return v.Field(key); });
 }
 
 MultiValue MvMapGet(const MultiValue& map, const MultiValue& key) {

@@ -85,9 +85,16 @@ class Parser {
       case '"':
         return ParseString();
       case '[':
-        return ParseArray();
-      case '{':
-        return ParseObject();
+      case '{': {
+        if (depth_ == kMaxValueDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxValueDepth));
+          return std::nullopt;
+        }
+        ++depth_;
+        auto value = text_[pos_] == '[' ? ParseArray() : ParseObject();
+        --depth_;
+        return value;
+      }
       default:
         return ParseNumber();
     }
@@ -322,6 +329,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Enclosing arrays/objects.
   size_t error_pos_ = 0;
   std::string error_msg_;
 };

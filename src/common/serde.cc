@@ -1,5 +1,9 @@
 #include "src/common/serde.h"
 
+#include <cstring>
+
+#include "src/common/digest.h"
+
 namespace karousos {
 
 void ByteWriter::WriteVarint(uint64_t v) {
@@ -169,12 +173,136 @@ std::optional<bool> ByteReader::ReadBool() {
   return *b == 1;
 }
 
-std::optional<Value> ByteReader::ReadValue() {
+// Decode-time hash-consing of containers. Within one decode, every list or
+// map whose encoded bytes equal those of a container decoded earlier reuses
+// that container's node, so a value logged N times is materialized once.
+// The key is the exact byte span: a hash match is confirmed by comparing the
+// bytes in full, so a shared node is always the value a fresh decode of
+// those bytes would have built. Interning is only an optimization: past a
+// probe cap or once hashing and comparing have cost kWorkPerInputByte times
+// the input size, it stops and returns fresh nodes, which keeps a decoder
+// linear-time under crafted collisions.
+class ValueInterner {
+ public:
+  explicit ValueInterner(size_t input_bytes);
+
+  // `fresh` (a list or map) was decoded from [begin, begin + size). Returns
+  // the node decoded earlier from identical bytes, else remembers `fresh`
+  // and returns it.
+  Value Intern(const uint8_t* begin, size_t size, Value fresh);
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    const uint8_t* begin = nullptr;
+    size_t size = 0;
+    Value value;
+  };
+  static constexpr size_t kWorkPerInputByte = 16;
+  static constexpr size_t kMaxProbes = 32;
+
+  void Grow();
+
+  std::vector<Slot> slots_;  // Open addressing, power-of-two capacity.
+  size_t used_ = 0;
+  size_t work_left_;  // Bytes still allowed to be hashed or compared.
+};
+
+namespace {
+
+// Unseeded: a crafted collision can only cost sharing, never time, because
+// the probe cap and the work budget bound every lookup.
+uint64_t HashSpan(const uint8_t* p, size_t n) {
+  uint64_t h = Avalanche(n);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  for (; n > 0; ++p, --n) {
+    h = (h ^ *p) * 0x100000001b3ULL;
+  }
+  return Avalanche(h);
+}
+
+}  // namespace
+
+ValueInterner::ValueInterner(size_t input_bytes)
+    : work_left_(input_bytes * kWorkPerInputByte) {}
+
+Value ValueInterner::Intern(const uint8_t* begin, size_t size, Value fresh) {
+  if (size > work_left_) {
+    return fresh;
+  }
+  work_left_ -= size;
+  if (2 * (used_ + 1) > slots_.size()) {
+    Grow();
+  }
+  const uint64_t hash = HashSpan(begin, size);
+  const size_t mask = slots_.size() - 1;
+  for (size_t probe = 0, i = hash & mask; probe < kMaxProbes; ++probe, i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.begin == nullptr) {
+      slot = Slot{hash, begin, size, fresh};
+      ++used_;
+      return fresh;
+    }
+    if (slot.hash != hash || slot.size != size) {
+      continue;
+    }
+    if (size > work_left_) {
+      return fresh;
+    }
+    work_left_ -= size;
+    if (std::memcmp(slot.begin, begin, size) == 0) {
+      return slot.value;
+    }
+  }
+  return fresh;
+}
+
+// Rehashes into twice the capacity under the same probe cap; an entry that
+// finds no slot within it is forgotten (only a lost sharing opportunity).
+void ValueInterner::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
+  used_ = 0;
+  const size_t mask = slots_.size() - 1;
+  for (Slot& slot : old) {
+    if (slot.begin == nullptr) {
+      continue;
+    }
+    for (size_t probe = 0, i = slot.hash & mask; probe < kMaxProbes; ++probe, i = (i + 1) & mask) {
+      if (slots_[i].begin == nullptr) {
+        slots_[i] = std::move(slot);
+        ++used_;
+        break;
+      }
+    }
+  }
+}
+
+ByteReader::ByteReader(const std::vector<uint8_t>& buf) : ByteReader(buf.data(), buf.size()) {}
+
+ByteReader::ByteReader(const uint8_t* data, size_t size) : buf_(data), size_(size) {}
+
+ByteReader::~ByteReader() = default;
+
+std::optional<Value> ByteReader::ReadValue() { return ReadValueAt(nullptr, 0); }
+
+std::optional<Value> ByteReader::ReadValue(const StringSource& strings) {
+  return ReadValueAt(&strings, 0);
+}
+
+std::optional<Value> ByteReader::ReadValueAt(const StringSource* strings, int depth) {
+  const size_t start = pos_;
   auto kind_byte = ReadByte();
   if (!kind_byte || *kind_byte > static_cast<uint8_t>(Value::Kind::kMap)) {
     return std::nullopt;
   }
-  switch (static_cast<Value::Kind>(*kind_byte)) {
+  const auto kind = static_cast<Value::Kind>(*kind_byte);
+  switch (kind) {
     case Value::Kind::kNull:
       return Value();
     case Value::Kind::kBool: {
@@ -202,49 +330,55 @@ std::optional<Value> ByteReader::ReadValue() {
       return Value(d);
     }
     case Value::Kind::kString: {
-      auto s = ReadString();
+      auto s = ReadValueString(strings);
       if (!s) {
         return std::nullopt;
       }
       return Value(std::move(*s));
     }
-    case Value::Kind::kList: {
-      auto n = ReadVarint();
-      if (!n || *n > remaining()) {
-        return std::nullopt;
-      }
-      ValueList items;
-      items.reserve(*n);
-      for (uint64_t i = 0; i < *n; ++i) {
-        auto item = ReadValue();
-        if (!item) {
-          return std::nullopt;
-        }
-        items.push_back(std::move(*item));
-      }
-      return Value(std::move(items));
-    }
-    case Value::Kind::kMap: {
-      auto n = ReadVarint();
-      if (!n || *n > remaining()) {
-        return std::nullopt;
-      }
-      ValueMap m;
-      for (uint64_t i = 0; i < *n; ++i) {
-        auto key = ReadString();
-        if (!key) {
-          return std::nullopt;
-        }
-        auto item = ReadValue();
-        if (!item) {
-          return std::nullopt;
-        }
-        m.emplace(std::move(*key), std::move(*item));
-      }
-      return Value(std::move(m));
-    }
+    case Value::Kind::kList:
+    case Value::Kind::kMap:
+      break;
   }
-  return std::nullopt;
+  auto n = ReadVarint();
+  if (depth >= kMaxValueDepth || !n || *n > remaining()) {
+    return std::nullopt;
+  }
+  Value fresh;
+  if (kind == Value::Kind::kList) {
+    ValueList items;
+    items.reserve(*n);
+    for (uint64_t i = 0; i < *n; ++i) {
+      auto item = ReadValueAt(strings, depth + 1);
+      if (!item) {
+        return std::nullopt;
+      }
+      items.push_back(std::move(*item));
+    }
+    fresh = Value(std::move(items));
+  } else {
+    ValueMap m;
+    for (uint64_t i = 0; i < *n; ++i) {
+      auto key = ReadValueString(strings);
+      if (!key) {
+        return std::nullopt;
+      }
+      auto item = ReadValueAt(strings, depth + 1);
+      if (!item) {
+        return std::nullopt;
+      }
+      m.emplace(std::move(*key), std::move(*item));
+    }
+    fresh = Value(std::move(m));
+  }
+  if (!interner_) {
+    interner_ = std::make_unique<ValueInterner>(size_);
+    interned_coded_ = strings != nullptr;
+  }
+  if (interned_coded_ != (strings != nullptr)) {
+    return fresh;
+  }
+  return interner_->Intern(buf_ + start, pos_ - start, std::move(fresh));
 }
 
 }  // namespace karousos

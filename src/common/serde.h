@@ -8,6 +8,8 @@
 #define SRC_COMMON_SERDE_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,13 +50,21 @@ class ByteWriter {
   std::vector<uint8_t> buf_;
 };
 
+class ValueInterner;  // Decode-time container interning (serde.cc).
+
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<uint8_t>& buf) : buf_(buf.data()), size_(buf.size()) {}
-  ByteReader(const uint8_t* data, size_t size) : buf_(data), size_(size) {}
+  // Out of line because ValueInterner is complete only in serde.cc.
+  explicit ByteReader(const std::vector<uint8_t>& buf);
+  ByteReader(const uint8_t* data, size_t size);
+  ~ByteReader();
 
   // Each reader returns nullopt on malformed input; the verifier treats a
   // malformed advice stream as server misbehavior (REJECT), never a crash.
+  // ReadValue rejects containers nested deeper than kMaxValueDepth. Within
+  // one reader it decodes a list or map whose bytes repeat an earlier one's
+  // to that earlier node (see ValueInterner), so repeated values are
+  // materialized once.
   std::optional<uint64_t> ReadVarint();
   std::optional<uint64_t> ReadFixed64();
   std::optional<uint32_t> ReadFixed32();
@@ -65,15 +75,28 @@ class ByteReader {
   // ReadString (rejects truncated buffers identically).
   std::optional<std::string_view> ReadStringView();
   std::optional<Value> ReadValue();
+  // ReadValue for values whose strings and map keys are read by `strings`
+  // instead (the KSEG dict stage codes them as dictionary refs). Equal bytes
+  // mean equal values only under one coding, so a reader interns values of
+  // the coding it decoded first and leaves the other's unshared.
+  using StringSource = std::function<std::optional<std::string>()>;
+  std::optional<Value> ReadValue(const StringSource& strings);
   std::optional<bool> ReadBool();
 
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 
  private:
+  std::optional<Value> ReadValueAt(const StringSource* strings, int depth);
+  std::optional<std::string> ReadValueString(const StringSource* strings) {
+    return strings != nullptr ? (*strings)() : ReadString();
+  }
+
   const uint8_t* buf_;
   size_t size_;
   size_t pos_ = 0;
+  std::unique_ptr<ValueInterner> interner_;  // Created at the first container.
+  bool interned_coded_ = false;  // interner_ holds StringSource-coded values.
 };
 
 // CRC-32 (IEEE 802.3 polynomial, reflected). Used by the epoch segment

@@ -128,12 +128,12 @@ const Value& Value::Field(std::string_view key) const {
   if (!is_map()) {
     return kNullValue;
   }
-  auto it = AsMap().find(std::string(key));
+  auto it = AsMap().find(key);
   return it == AsMap().end() ? kNullValue : it->second;
 }
 
 bool Value::HasField(std::string_view key) const {
-  return is_map() && AsMap().count(std::string(key)) > 0;
+  return is_map() && AsMap().find(key) != AsMap().end();
 }
 
 uint64_t Value::DigestValue() const {
@@ -146,6 +146,29 @@ std::string Value::ToString() const {
   std::ostringstream out;
   AppendJson(*this, out);
   return out.str();
+}
+
+bool operator==(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) {
+    return false;
+  }
+  switch (a.kind()) {
+    case Value::Kind::kNull:
+      return true;
+    case Value::Kind::kBool:
+      return a.AsBool() == b.AsBool();
+    case Value::Kind::kInt:
+      return a.AsInt() == b.AsInt();
+    case Value::Kind::kDouble:
+      return a.AsDouble() == b.AsDouble();
+    case Value::Kind::kString:
+      return a.AsString() == b.AsString();
+    case Value::Kind::kList:
+      return &a.AsList() == &b.AsList() || a.AsList() == b.AsList();
+    case Value::Kind::kMap:
+      return &a.AsMap() == &b.AsMap() || a.AsMap() == b.AsMap();
+  }
+  return false;
 }
 
 bool operator<(const Value& a, const Value& b) {

@@ -6,10 +6,16 @@
 // helpers below) used for (a) response comparison against the trace, (b)
 // advice size accounting, and (c) value digests feeding control-flow and
 // simulate-and-check logic.
+//
+// Lists and maps are immutable, reference-counted nodes: copying a Value
+// costs O(1) whatever its size, and copies alias one node. "Mutation" builds
+// a new node (copy the list/map out, edit, wrap). Refcounts are atomic, so
+// one node may be read and released from many audit threads at once.
 #ifndef SRC_COMMON_VALUE_H_
 #define SRC_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,7 +28,16 @@ namespace karousos {
 class Value;
 
 using ValueList = std::vector<Value>;
-using ValueMap = std::map<std::string, Value>;
+// Transparent comparator: Field/HasField look keys up by string_view
+// without building a std::string. Iteration order (and so the encoding) is
+// plain std::string order.
+using ValueMap = std::map<std::string, Value, std::less<>>;
+
+// Nesting bound for every decoder that builds Values from untrusted bytes
+// (ByteReader::ReadValue, which the KSEG codec also uses, and ParseJson).
+// Far above anything an app builds; deeper input is malformed, so recursion
+// depth stays bounded.
+inline constexpr int kMaxValueDepth = 256;
 
 class Value {
  public:
@@ -37,8 +52,8 @@ class Value {
   Value(const char* s) : rep_(std::string(s)) {}  // NOLINT(google-explicit-constructor)
   Value(std::string s) : rep_(std::move(s)) {}    // NOLINT(google-explicit-constructor)
   Value(std::string_view s) : rep_(std::string(s)) {}  // NOLINT
-  Value(ValueList l) : rep_(std::move(l)) {}      // NOLINT(google-explicit-constructor)
-  Value(ValueMap m) : rep_(std::move(m)) {}       // NOLINT(google-explicit-constructor)
+  Value(ValueList l) : rep_(std::make_shared<const ValueList>(std::move(l))) {}  // NOLINT
+  Value(ValueMap m) : rep_(std::make_shared<const ValueMap>(std::move(m))) {}    // NOLINT
 
   Kind kind() const { return static_cast<Kind>(rep_.index()); }
   bool is_null() const { return kind() == Kind::kNull; }
@@ -55,10 +70,8 @@ class Value {
   int64_t AsInt() const { return std::get<int64_t>(rep_); }
   double AsDouble() const { return std::get<double>(rep_); }
   const std::string& AsString() const { return std::get<std::string>(rep_); }
-  const ValueList& AsList() const { return std::get<ValueList>(rep_); }
-  const ValueMap& AsMap() const { return std::get<ValueMap>(rep_); }
-  ValueList& MutableList() { return std::get<ValueList>(rep_); }
-  ValueMap& MutableMap() { return std::get<ValueMap>(rep_); }
+  const ValueList& AsList() const { return *std::get<ListNode>(rep_); }
+  const ValueMap& AsMap() const { return *std::get<MapNode>(rep_); }
 
   int64_t IntOr(int64_t def) const { return is_int() ? AsInt() : def; }
   bool BoolOr(bool def) const { return is_bool() ? AsBool() : def; }
@@ -81,14 +94,18 @@ class Value {
   // Human-readable JSON-ish rendering, for diagnostics and trace dumps.
   std::string ToString() const;
 
-  friend bool operator==(const Value& a, const Value& b) { return a.rep_ == b.rep_; }
+  // Structural equality; two values aliasing one node compare equal without
+  // walking it.
+  friend bool operator==(const Value& a, const Value& b);
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
   // Total order across kinds (kind index first), used for deterministic
   // iteration in tests and workload generation.
   friend bool operator<(const Value& a, const Value& b);
 
  private:
-  std::variant<std::monostate, bool, int64_t, double, std::string, ValueList, ValueMap> rep_;
+  using ListNode = std::shared_ptr<const ValueList>;
+  using MapNode = std::shared_ptr<const ValueMap>;
+  std::variant<std::monostate, bool, int64_t, double, std::string, ListNode, MapNode> rep_;
 };
 
 // Convenience builders used pervasively by the applications.

@@ -167,84 +167,10 @@ class CompactDecoder {
   std::optional<uint8_t> Byte() { return in_.ReadByte(); }
   std::optional<bool> Bool() { return in_.ReadBool(); }
 
+  // Inverse of CompactEncoder::Val: the plain value grammar, with strings
+  // and map keys as dictionary refs under the dict stage.
   std::optional<Value> Val() {
-    if (!c_.dict) {
-      return in_.ReadValue();
-    }
-    auto kind_byte = in_.ReadByte();
-    if (!kind_byte || *kind_byte > static_cast<uint8_t>(Value::Kind::kMap)) {
-      return std::nullopt;
-    }
-    switch (static_cast<Value::Kind>(*kind_byte)) {
-      case Value::Kind::kNull:
-        return Value();
-      case Value::Kind::kBool: {
-        auto b = in_.ReadBool();
-        if (!b) {
-          return std::nullopt;
-        }
-        return Value(*b);
-      }
-      case Value::Kind::kInt: {
-        auto z = in_.ReadVarint();
-        if (!z) {
-          return std::nullopt;
-        }
-        return Value(ZigzagDecode(*z));
-      }
-      case Value::Kind::kDouble: {
-        auto bits = in_.ReadFixed64();
-        if (!bits) {
-          return std::nullopt;
-        }
-        double d;
-        __builtin_memcpy(&d, &*bits, sizeof(d));
-        return Value(d);
-      }
-      case Value::Kind::kString: {
-        auto s = Str();
-        if (!s) {
-          return std::nullopt;
-        }
-        return Value(std::move(*s));
-      }
-      case Value::Kind::kList: {
-        auto n = in_.ReadVarint();
-        if (!n || *n > in_.remaining()) {
-          return std::nullopt;
-        }
-        ValueList items;
-        items.reserve(static_cast<size_t>(*n));
-        for (uint64_t i = 0; i < *n; ++i) {
-          auto item = Val();
-          if (!item) {
-            return std::nullopt;
-          }
-          items.push_back(std::move(*item));
-        }
-        return Value(std::move(items));
-      }
-      case Value::Kind::kMap: {
-        auto n = in_.ReadVarint();
-        if (!n || *n > in_.remaining()) {
-          return std::nullopt;
-        }
-        ValueMap m;
-        for (uint64_t i = 0; i < *n; ++i) {
-          auto key = Str();
-          if (!key) {
-            return std::nullopt;
-          }
-          auto item = Val();
-          if (!item) {
-            return std::nullopt;
-          }
-          m.emplace(std::move(*key), std::move(*item));
-        }
-        return Value(std::move(m));
-      }
-    }
-    return std::nullopt;
+    return c_.dict ? in_.ReadValue([this] { return Str(); }) : in_.ReadValue();
   }
 
   size_t remaining() const { return in_.remaining(); }

@@ -389,5 +389,63 @@ TEST(KsegCompressCorruptionTest, BitFlipAtEveryPositionIsClean) {
   }
 }
 
+// Under the dict stage, strings and map keys inside values are dictionary
+// refs, decoded through ByteReader::ReadValue's string-source form. It keeps
+// the plain decoder's nesting bound: 200 KB of `05 01` and a value one level past kMaxValueDepth
+// reject the payload without a crash, the bound itself round-trips, and a
+// container repeated within one frame decodes to one node.
+TEST(KsegCompressCorruptionTest, DictValueDecoderBoundsNestingAndInterns) {
+  auto nest = [](int levels) {
+    Value v = 1;
+    for (int i = 0; i < levels; ++i) {
+      v = i % 2 == 0 ? MakeList({v}) : MakeMap({{"k", v}});
+    }
+    return v;
+  };
+  for (bool lanes : {false, true}) {
+    SCOPED_TRACE(lanes ? "dict+lanes" : "dict");
+    KsegCompression c;
+    c.dict = true;
+    c.lanes = lanes;
+
+    const Value entry = MakeMap({{"op", "set"}, {"text", "hello"}});
+    const std::vector<TraceEvent> events = {
+        {TraceEvent::Kind::kRequest, 1, entry},
+        {TraceEvent::Kind::kResponse, 1, MakeList({entry, entry})},
+        {TraceEvent::Kind::kRequest, 2, Value()},
+    };
+    ByteWriter w;
+    EncodeCompactTracePayload(events, c, &w);
+    auto decoded = DecodeCompactTracePayload(w.bytes().data(), w.size(), c);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), events.size());
+    EXPECT_EQ((*decoded)[1].payload, events[1].payload);
+    EXPECT_EQ(&(*decoded)[0].payload.AsMap(), &(*decoded)[1].payload.AsList()[0].AsMap());
+    EXPECT_EQ(&(*decoded)[0].payload.AsMap(), &(*decoded)[1].payload.AsList()[1].AsMap());
+
+    // The last event's null payload is the frame's last byte; put a list
+    // nested 100 000 deep in its place.
+    std::vector<uint8_t> deep = w.bytes();
+    ASSERT_EQ(deep.back(), static_cast<uint8_t>(Value::Kind::kNull));
+    deep.pop_back();
+    for (int i = 0; i < 100000; ++i) {
+      deep.push_back(static_cast<uint8_t>(Value::Kind::kList));
+      deep.push_back(1);
+    }
+    deep.push_back(static_cast<uint8_t>(Value::Kind::kNull));
+    EXPECT_FALSE(DecodeCompactTracePayload(deep.data(), deep.size(), c).has_value());
+
+    for (int levels : {kMaxValueDepth, kMaxValueDepth + 1}) {
+      ByteWriter nw;
+      EncodeCompactTracePayload({{TraceEvent::Kind::kRequest, 1, nest(levels)}}, c, &nw);
+      auto got = DecodeCompactTracePayload(nw.bytes().data(), nw.size(), c);
+      EXPECT_EQ(got.has_value(), levels <= kMaxValueDepth) << levels;
+      if (got) {
+        EXPECT_EQ((*got)[0].payload, nest(levels));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace karousos

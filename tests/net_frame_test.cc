@@ -1,17 +1,25 @@
 // Wire-protocol framing: torn-frame safety (every byte-boundary split of a
 // valid multi-request stream decodes identically), eager rejection of
 // streams that can never become valid (bad preface, unknown type, oversized
-// length), and payload codec round-trips.
+// length), payload codec round-trips, and a live server surviving a request
+// payload nested too deep to decode.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/apps/app.h"
 #include "src/common/serde.h"
 #include "src/common/value.h"
 #include "src/net/buffer.h"
+#include "src/net/client.h"
 #include "src/net/frame.h"
+#include "src/net/listener.h"
+#include "src/net/wire_server.h"
 
 namespace karousos {
 namespace {
@@ -238,6 +246,87 @@ TEST(FrameDecoderTest, MalformedPayloadsRejectCleanly) {
   // Empty error payload.
   std::string message;
   EXPECT_FALSE(DecodeErrorPayload({}, &message));
+}
+
+// A request payload (seq 0) whose value is a one-element list nested 100 000
+// deep: 200 KB of `05 01`, well inside the frame size limit.
+std::vector<uint8_t> DeepRequestPayload() {
+  ByteWriter payload;
+  payload.WriteVarint(0);
+  for (int i = 0; i < 100000; ++i) {
+    payload.WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+    payload.WriteByte(1);
+  }
+  payload.WriteByte(static_cast<uint8_t>(Value::Kind::kNull));
+  return payload.Take();
+}
+
+TEST(FrameDecoderTest, DeeplyNestedPayloadRejectsCleanly) {
+  uint64_t seq = 0;
+  Value value;
+  EXPECT_FALSE(DecodeSeqValuePayload(DeepRequestPayload(), &seq, &value));
+}
+
+// The same payload sent to a live server: the offending connection gets an
+// error frame and is closed, and the server keeps serving other clients.
+TEST(FrameDecoderTest, LiveServerSurvivesDeeplyNestedRequest) {
+  AppSpec app = MakeMotdApp();
+  WireServerConfig wc;
+  wc.listen = "unix:/tmp/karousos_net_frame_" + std::to_string(getpid()) + "_deep.sock";
+  wc.workers = 1;
+  wc.batch = false;
+  wc.server.mode = CollectMode::kKarousos;
+  WireServer server(*app.program, wc);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  int fd = ConnectToAddress(server.bound_address(), &error);
+  ASSERT_GE(fd, 0) << error;
+  ByteWriter stream;
+  AppendWirePreface(&stream);
+  const std::vector<uint8_t> payload = DeepRequestPayload();
+  EncodeFrame(FrameType::kRequest, payload.data(), payload.size(), &stream);
+  size_t sent = 0;
+  while (sent < stream.size()) {
+    ssize_t n = write(fd, stream.bytes().data() + sent, stream.size() - sent);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+  std::vector<uint8_t> reply(4096);
+  size_t total = 0;
+  for (;;) {
+    ssize_t n = read(fd, reply.data() + total, reply.size() - total);
+    if (n <= 0) {
+      break;
+    }
+    total += static_cast<size_t>(n);
+  }
+  close(fd);
+  reply.resize(total);
+  WatermarkBuffer buf;
+  buf.Append(reply.data(), reply.size());
+  FrameDecoder decoder;
+  WireFrame frame;
+  ASSERT_EQ(decoder.Next(&buf, &frame), DecodeStatus::kFrame);
+  EXPECT_EQ(frame.type, FrameType::kError);
+  std::string message;
+  ASSERT_TRUE(DecodeErrorPayload(frame.payload, &message));
+  EXPECT_EQ(message, "malformed request payload");
+
+  std::unique_ptr<WireConn> conn = WireConn::Connect(server.bound_address(), &error);
+  ASSERT_NE(conn, nullptr) << error;
+  ASSERT_TRUE(conn->SendRequest(7, MakeMap({{"op", "get"}, {"day", "mon"}}), &error)) << error;
+  uint64_t seq = 0;
+  Value output;
+  ASSERT_TRUE(conn->ReadResponse(&seq, &output, 10000, &error)) << error;
+  EXPECT_EQ(seq, 7u);
+  conn.reset();
+
+  server.Stop();
+  WireServerReport report = server.Wait();
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.requests, 1u);
+  EXPECT_EQ(report.responses, 1u);
 }
 
 }  // namespace

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/common/rng.h"
+#include "src/trace/trace.h"
 
 namespace karousos {
 namespace {
@@ -190,6 +198,377 @@ TEST(SerdeTest, RandomValueFuzzRoundTrip) {
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, original);
   }
+}
+
+// The value grammar decoded the plain way: recursion with the same depth
+// bound and first-wins duplicate map keys, but a fresh node for every
+// container. The interning ByteReader must agree with it on every input.
+std::optional<Value> ReferenceDecode(ByteReader* in, int depth = 0) {
+  auto kind = in->ReadByte();
+  if (!kind) {
+    return std::nullopt;
+  }
+  switch (static_cast<Value::Kind>(*kind)) {
+    case Value::Kind::kNull:
+      return Value();
+    case Value::Kind::kBool: {
+      auto b = in->ReadBool();
+      return b ? std::optional<Value>(Value(*b)) : std::nullopt;
+    }
+    case Value::Kind::kInt: {
+      auto z = in->ReadVarint();
+      return z ? std::optional<Value>(Value(static_cast<int64_t>((*z >> 1) ^ (0 - (*z & 1)))))
+               : std::nullopt;
+    }
+    case Value::Kind::kDouble: {
+      auto bits = in->ReadFixed64();
+      if (!bits) {
+        return std::nullopt;
+      }
+      double d;
+      std::memcpy(&d, &*bits, sizeof(d));
+      return Value(d);
+    }
+    case Value::Kind::kString: {
+      auto str = in->ReadString();
+      return str ? std::optional<Value>(Value(*str)) : std::nullopt;
+    }
+    case Value::Kind::kList:
+    case Value::Kind::kMap: {
+      auto n = in->ReadVarint();
+      if (depth >= kMaxValueDepth || !n || *n > in->remaining()) {
+        return std::nullopt;
+      }
+      ValueList list;
+      ValueMap map;
+      for (uint64_t i = 0; i < *n; ++i) {
+        std::optional<std::string> key;
+        if (*kind == static_cast<uint8_t>(Value::Kind::kMap) && !(key = in->ReadString())) {
+          return std::nullopt;
+        }
+        auto item = ReferenceDecode(in, depth + 1);
+        if (!item) {
+          return std::nullopt;
+        }
+        if (key) {
+          map.emplace(*key, *item);
+        } else {
+          list.push_back(*item);
+        }
+      }
+      return *kind == static_cast<uint8_t>(Value::Kind::kList) ? Value(list) : Value(map);
+    }
+  }
+  return std::nullopt;
+}
+
+// ByteWriter::WriteValue, also noting where each container's count varint
+// sits so a test can forge it.
+void WriteTracked(const Value& v, ByteWriter* out, std::vector<size_t>* count_offsets) {
+  if (!v.is_list() && !v.is_map()) {
+    out->WriteValue(v);
+    return;
+  }
+  out->WriteByte(static_cast<uint8_t>(v.kind()));
+  count_offsets->push_back(out->size());
+  if (v.is_list()) {
+    out->WriteVarint(v.AsList().size());
+    for (const Value& item : v.AsList()) {
+      WriteTracked(item, out, count_offsets);
+    }
+  } else {
+    out->WriteVarint(v.AsMap().size());
+    for (const auto& [key, item] : v.AsMap()) {
+      out->WriteString(key);
+      WriteTracked(item, out, count_offsets);
+    }
+  }
+}
+
+// A non-canonical map encoding: two entries under key "a". Decoding keeps
+// the first, so it equals {"a": 1} but its bytes differ from that map's.
+void WriteDuplicateKeyMap(ByteWriter* out) {
+  out->WriteByte(static_cast<uint8_t>(Value::Kind::kMap));
+  out->WriteVarint(2);
+  out->WriteString("a");
+  out->WriteValue(Value(1));
+  out->WriteString("a");
+  out->WriteValue(Value(2));
+}
+
+Value Nest(int levels) {
+  Value v = 1;
+  for (int i = 0; i < levels; ++i) {
+    v = i % 2 == 0 ? MakeList({v}) : MakeMap({{"k", v}});
+  }
+  return v;
+}
+
+TEST(SerdeInternTest, RepeatedContainersDecodeToOneNode) {
+  const Value entry = MakeMap({{"digest", "d1"}, {"count", 2}});
+  const Value acc1 = MakeList({entry});
+  const Value acc2 = MakeList({entry, MakeMap({{"digest", "d2"}, {"count", 1}})});
+  ByteWriter w;
+  w.WriteValue(acc1);
+  w.WriteValue(acc2);
+  w.WriteValue(acc2);
+  ByteReader r(w.bytes());
+  auto a = r.ReadValue();
+  auto b = r.ReadValue();
+  auto c = r.ReadValue();
+  ASSERT_TRUE(a && b && c);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(*a, acc1);
+  EXPECT_EQ(*b, acc2);
+  EXPECT_EQ(*c, acc2);
+  // A container encoded twice is one node; so is an element repeated inside
+  // two different containers.
+  EXPECT_EQ(&b->AsList(), &c->AsList());
+  EXPECT_EQ(&a->AsList()[0].AsMap(), &b->AsList()[0].AsMap());
+  EXPECT_NE(&a->AsList(), &b->AsList());
+
+  // The table belongs to the reader: a second decode shares nothing with
+  // the first.
+  ByteReader r2(w.bytes());
+  auto a2 = r2.ReadValue();
+  ASSERT_TRUE(a2);
+  EXPECT_EQ(*a2, *a);
+  EXPECT_NE(&a2->AsList(), &a->AsList());
+}
+
+TEST(SerdeInternTest, InternedDecodesEqualReferenceDecodes) {
+  // Duplicate-key maps: equal spans share a node; the canonical map with the
+  // same value but other bytes is equal without sharing it.
+  ByteWriter w;
+  WriteDuplicateKeyMap(&w);
+  w.WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+  w.WriteVarint(2);
+  WriteDuplicateKeyMap(&w);
+  WriteDuplicateKeyMap(&w);
+  w.WriteValue(MakeMap({{"a", 1}}));
+  ByteReader r(w.bytes());
+  ByteReader ref(w.bytes());
+  auto dup = r.ReadValue();
+  auto list = r.ReadValue();
+  auto canonical = r.ReadValue();
+  ASSERT_TRUE(dup && list && canonical);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(*dup, *ReferenceDecode(&ref));
+  EXPECT_EQ(*list, *ReferenceDecode(&ref));
+  EXPECT_EQ(*canonical, *ReferenceDecode(&ref));
+  EXPECT_EQ(*dup, MakeMap({{"a", 1}}));
+  EXPECT_EQ(&list->AsList()[0].AsMap(), &dup->AsMap());
+  EXPECT_EQ(&list->AsList()[1].AsMap(), &dup->AsMap());
+  EXPECT_EQ(*canonical, *dup);
+  EXPECT_NE(&canonical->AsMap(), &dup->AsMap());
+
+  // Random streams drawing on a small pool of subvalues, so containers
+  // repeat both whole and nested inside larger ones.
+  Rng rng(13);
+  std::vector<Value> pool = {MakeList({}), MakeMap({}), MakeMap({{"digest", "d1"}, {"n", 1}}),
+                             MakeList({1.5, "x"})};
+  std::function<Value(int)> gen = [&](int depth) -> Value {
+    switch (rng.Below(depth > 2 ? 3 : 5)) {
+      case 0:
+        return pool[rng.Below(pool.size())];
+      case 1:
+        return Value(static_cast<int64_t>(rng.Below(5)) - 2);
+      case 2:
+        return Value("s" + std::to_string(rng.Below(3)));
+      case 3: {
+        ValueList items;
+        for (uint64_t i = 0, n = rng.Below(4); i < n; ++i) {
+          items.push_back(gen(depth + 1));
+        }
+        return Value(std::move(items));
+      }
+      default: {
+        ValueMap fields;
+        for (uint64_t i = 0, n = rng.Below(4); i < n; ++i) {
+          fields.emplace("k" + std::to_string(rng.Below(4)), gen(depth + 1));
+        }
+        return Value(std::move(fields));
+      }
+    }
+  };
+  for (int iter = 0; iter < 50; ++iter) {
+    std::vector<Value> originals;
+    ByteWriter stream;
+    for (int i = 0; i < 40; ++i) {
+      originals.push_back(gen(0));
+      pool.push_back(originals.back());
+      stream.WriteValue(originals.back());
+    }
+    ByteReader interned(stream.bytes());
+    ByteReader plain(stream.bytes());
+    for (const Value& original : originals) {
+      auto got = interned.ReadValue();
+      auto want = ReferenceDecode(&plain);
+      ASSERT_TRUE(got && want);
+      EXPECT_EQ(*got, *want);
+      EXPECT_EQ(*got, original);
+      EXPECT_EQ(got->DigestValue(), original.DigestValue());
+      ByteWriter again;
+      again.WriteValue(*got);
+      ByteWriter expected;
+      expected.WriteValue(original);
+      EXPECT_EQ(again.bytes(), expected.bytes());
+    }
+    EXPECT_TRUE(interned.AtEnd());
+    pool.resize(4);
+  }
+}
+
+TEST(SerdeInternTest, TruncatedOrForgedInternedStreamsRejectCleanly) {
+  // One top-level value full of repeats (including the non-canonical map),
+  // small enough that a single-byte count of 0x7f always overruns it.
+  const Value entry = MakeMap({{"d", "x1"}, {"c", 2}});
+  ByteWriter w;
+  std::vector<size_t> counts;
+  w.WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+  counts.push_back(w.size());
+  w.WriteVarint(6);
+  WriteTracked(entry, &w, &counts);
+  WriteTracked(entry, &w, &counts);
+  WriteTracked(MakeList({entry, entry}), &w, &counts);
+  WriteTracked(MakeList({entry, entry}), &w, &counts);
+  counts.push_back(w.size() + 1);
+  WriteDuplicateKeyMap(&w);
+  counts.push_back(w.size() + 1);
+  WriteDuplicateKeyMap(&w);
+  const std::vector<uint8_t> bytes = w.bytes();
+  ASSERT_LT(bytes.size(), 0x7fu);
+  {
+    ByteReader r(bytes);
+    auto whole = r.ReadValue();
+    ASSERT_TRUE(whole);
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(&whole->AsList()[2].AsList(), &whole->AsList()[3].AsList());
+  }
+
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(cut));
+    ByteReader r(prefix);
+    EXPECT_FALSE(r.ReadValue()) << "cut " << cut;
+  }
+
+  for (size_t offset : counts) {
+    ASSERT_LT(bytes[offset], 0x7f);
+    for (uint8_t forged : {static_cast<uint8_t>(bytes[offset] + 1),
+                           static_cast<uint8_t>(bytes[offset] == 0 ? 0 : bytes[offset] - 1),
+                           uint8_t{0x7f}}) {
+      std::vector<uint8_t> mutated = bytes;
+      mutated[offset] = forged;
+      ByteReader r(mutated);
+      ByteReader ref(mutated);
+      auto got = r.ReadValue();
+      auto want = ReferenceDecode(&ref);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "offset " << offset;
+      if (got) {
+        EXPECT_EQ(*got, *want) << "offset " << offset;
+        EXPECT_EQ(r.AtEnd(), ref.AtEnd()) << "offset " << offset;
+      }
+      if (forged == 0x7f || (offset == counts.front() && forged > bytes[offset])) {
+        EXPECT_FALSE(got) << "offset " << offset << " forged " << int{forged};
+      }
+    }
+  }
+}
+
+// The string-source form (the KSEG dict stage's) gives the same bytes another
+// meaning, so one reader must never hand a plainly decoded node to a coded
+// read of equal bytes, or the other way round.
+TEST(SerdeInternTest, CodedAndPlainReadsNeverShareNodes) {
+  const Value list = MakeList({"a", MakeMap({{"k", "v"}})});
+  ByteWriter w;
+  for (int i = 0; i < 4; ++i) {
+    w.WriteValue(list);
+  }
+  ByteReader r(w.bytes());
+  // A stand-in coding: length-prefixed strings, upper-cased.
+  const ByteReader::StringSource upper = [&r]() -> std::optional<std::string> {
+    auto s = r.ReadString();
+    if (s) {
+      for (char& c : *s) {
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      }
+    }
+    return s;
+  };
+  const Value upper_list = MakeList({"A", MakeMap({{"K", "V"}})});
+  auto plain1 = r.ReadValue();
+  auto coded1 = r.ReadValue(upper);
+  auto plain2 = r.ReadValue();
+  auto coded2 = r.ReadValue(upper);
+  ASSERT_TRUE(plain1 && coded1 && plain2 && coded2);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(*plain1, list);
+  EXPECT_EQ(*plain2, list);
+  EXPECT_EQ(*coded1, upper_list);
+  EXPECT_EQ(*coded2, upper_list);
+  EXPECT_EQ(&plain1->AsList(), &plain2->AsList());
+}
+
+const void* NodeOf(const Value& v) {
+  return v.is_list() ? static_cast<const void*>(&v.AsList()) : &v.AsMap();
+}
+
+// Hashing re-reads a nested container's bytes once per enclosing level, so
+// deep repeats are where interning could cost more than decoding. Its work
+// budget (a fixed multiple of the input size) runs out first: the decode
+// stays correct and simply stops sharing, while shallow repeats still share.
+TEST(SerdeInternTest, InterningStopsAtItsWorkBudget) {
+  for (int levels : {8, kMaxValueDepth}) {
+    const Value nested = Nest(levels);
+    ByteWriter w;
+    for (int i = 0; i < 4; ++i) {
+      w.WriteValue(nested);
+    }
+    ByteReader r(w.bytes());
+    std::vector<Value> decoded;
+    for (int i = 0; i < 4; ++i) {
+      auto v = r.ReadValue();
+      ASSERT_TRUE(v);
+      EXPECT_EQ(*v, nested);
+      decoded.push_back(*v);
+    }
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(NodeOf(decoded[0]) == NodeOf(decoded[3]), levels == 8) << levels;
+  }
+}
+
+TEST(SerdeTest, DeepNestingIsRejectedWithoutCrashing) {
+  // 200 KB of `05 01`: a one-element list nested 100 000 deep.
+  std::vector<uint8_t> deep;
+  for (int i = 0; i < 100000; ++i) {
+    deep.push_back(static_cast<uint8_t>(Value::Kind::kList));
+    deep.push_back(1);
+  }
+  deep.push_back(static_cast<uint8_t>(Value::Kind::kNull));
+  ByteReader r(deep);
+  EXPECT_FALSE(r.ReadValue());
+
+  // The bound itself: kMaxValueDepth nested containers decode, one more
+  // does not (the encoder has no bound, so such bytes are easy to forge).
+  for (int levels : {kMaxValueDepth, kMaxValueDepth + 1}) {
+    ByteWriter w;
+    w.WriteValue(Nest(levels));
+    ByteReader nested(w.bytes());
+    auto got = nested.ReadValue();
+    EXPECT_EQ(got.has_value(), levels <= kMaxValueDepth) << levels;
+    if (got) {
+      EXPECT_EQ(*got, Nest(levels));
+    }
+  }
+
+  // The same bytes inside a trace file are a malformed trace.
+  Trace trace;
+  trace.events.push_back(TraceEvent{TraceEvent::Kind::kRequest, 1, Nest(kMaxValueDepth + 1)});
+  trace.events.push_back(TraceEvent{TraceEvent::Kind::kResponse, 1, Value()});
+  ByteWriter tw;
+  trace.Serialize(&tw);
+  ByteReader tr(tw.bytes());
+  EXPECT_FALSE(Trace::Deserialize(&tr));
 }
 
 }  // namespace

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/apps/app_util.h"
+#include "src/multivalue/multivalue.h"
+
 namespace karousos {
 namespace {
+
+// Lists and maps live behind a shared pointer, so a Value is no larger than
+// its widest inline alternative (std::string) plus the variant tag.
+static_assert(sizeof(Value) <= 40);
 
 TEST(ValueTest, KindsAndAccessors) {
   EXPECT_TRUE(Value().is_null());
@@ -73,6 +84,127 @@ TEST(ValueTest, OrderingIsTotalAndConsistent) {
       EXPECT_FALSE(values[j] < values[i]);
     }
   }
+}
+
+// Builds the same nested value twice without any sharing between the two:
+// every list and map node is freshly allocated.
+Value DeepBuilt() {
+  return MakeMap({{"items", MakeList({MakeMap({{"digest", "d1"}, {"count", 2}}),
+                                      MakeMap({{"digest", "d2"}, {"count", -3}}), 1.25})},
+                  {"empty", MakeList({})},
+                  {"flag", true}});
+}
+
+TEST(ValueSharingTest, CopyAliasesSourceNode) {
+  Value list = MakeList({1, "a", MakeMap({{"k", 2}})});
+  Value list_copy = list;
+  EXPECT_EQ(&list_copy.AsList(), &list.AsList());
+  EXPECT_EQ(&list_copy.AsList()[2].AsMap(), &list.AsList()[2].AsMap());
+
+  Value map = MakeMap({{"k", MakeList({1})}});
+  Value map_copy;
+  map_copy = map;
+  EXPECT_EQ(&map_copy.AsMap(), &map.AsMap());
+
+  // A moved-from copy releases only its own reference.
+  Value moved = std::move(list_copy);
+  EXPECT_EQ(&moved.AsList(), &list.AsList());
+  EXPECT_EQ(list.AsList().size(), 3u);
+
+  // Independently built equal values are equal but do not alias.
+  Value again = MakeList({1, "a", MakeMap({{"k", 2}})});
+  EXPECT_NE(&again.AsList(), &list.AsList());
+  EXPECT_EQ(again, list);
+}
+
+TEST(ValueSharingTest, MultivalueEditsLeaveTheirSourceUnchanged) {
+  const Value list = MakeList({1, 2});
+  const Value map = MakeMap({{"a", 1}, {"b", 2}});
+  const Value list_before = MakeList({1, 2});
+  const Value map_before = MakeMap({{"a", 1}, {"b", 2}});
+  const ValueList* list_node = &list.AsList();
+  const ValueMap* map_node = &map.AsMap();
+
+  MultiValue appended = MvListAppend(MultiValue(list), MultiValue(3));
+  MultiValue set = MvMapSet(MultiValue(map), MultiValue("a"), MultiValue(9));
+  MultiValue added = MvMapSet(MultiValue(map), MultiValue("c"), MultiValue(3));
+  MultiValue erased = MvMapErase(MultiValue(map), MultiValue("b"));
+
+  EXPECT_EQ(appended.CollapsedValue(), MakeList({1, 2, 3}));
+  EXPECT_EQ(set.CollapsedValue(), MakeMap({{"a", 9}, {"b", 2}}));
+  EXPECT_EQ(added.CollapsedValue(), MakeMap({{"a", 1}, {"b", 2}, {"c", 3}}));
+  EXPECT_EQ(erased.CollapsedValue(), MakeMap({{"a", 1}}));
+
+  EXPECT_EQ(list, list_before);
+  EXPECT_EQ(map, map_before);
+  EXPECT_EQ(&list.AsList(), list_node);
+  EXPECT_EQ(&map.AsMap(), map_node);
+  EXPECT_EQ(list_node->size(), 2u);
+  EXPECT_EQ(map_node->size(), 2u);
+}
+
+TEST(ValueSharingTest, SharedAndDeepBuiltValuesAgreeEverywhere) {
+  const Value deep = DeepBuilt();
+  // The shared value reuses one element node in two places and aliases a
+  // whole subtree of another value.
+  const Value entry = MakeMap({{"digest", "d1"}, {"count", 2}});
+  const Value donor = DeepBuilt();
+  const Value shared = MakeMap(
+      {{"items", MakeList({entry, donor.Field("items").AsList()[1], 1.25})},
+       {"empty", donor.Field("empty")},
+       {"flag", true}});
+  EXPECT_EQ(&shared.Field("empty").AsList(), &donor.Field("empty").AsList());
+
+  EXPECT_TRUE(shared == deep);
+  EXPECT_TRUE(deep == shared);
+  EXPECT_FALSE(shared != deep);
+  EXPECT_FALSE(shared < deep);
+  EXPECT_FALSE(deep < shared);
+  EXPECT_EQ(shared.DigestValue(), deep.DigestValue());
+  EXPECT_EQ(shared.ToString(), deep.ToString());
+
+  // Ordering against a different value is the same from either side.
+  const Value bigger = MakeMap({{"items", MakeList({})}, {"z", 1}});
+  EXPECT_EQ(shared < bigger, deep < bigger);
+  EXPECT_EQ(bigger < shared, bigger < deep);
+  EXPECT_NE(shared, bigger);
+
+  // A value compares equal to itself through the node-identity shortcut and
+  // through the structural walk alike.
+  const Value self = shared;
+  EXPECT_EQ(self, shared);
+  EXPECT_EQ(self.DigestValue(), shared.DigestValue());
+}
+
+// Four threads copy and drop one shared node concurrently. The refcount is
+// the only state they share; under ThreadSanitizer (the `tsan` label) this
+// is the race check for cross-thread value sharing in the parallel audit.
+TEST(ValueSharingTest, ConcurrentCopiesAndReleasesOfOneNode) {
+  Value shared = MakeMap({{"items", MakeList({1, "two", MakeMap({{"k", 3.0}})})}});
+  const uint64_t digest = shared.DigestValue();
+  const ValueMap* node = &shared.AsMap();
+  std::vector<std::thread> threads;
+  std::vector<size_t> mismatches(4, 0);
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared, &mismatches, node, digest, t] {
+      for (int i = 0; i < 2000; ++i) {
+        std::vector<Value> copies(8, shared);
+        Value inner = copies[i % 8].Field("items");
+        copies.clear();
+        if (&shared.AsMap() != node || inner.AsList().size() != 3 ||
+            (i % 256 == 0 && shared.DigestValue() != digest)) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (size_t m : mismatches) {
+    EXPECT_EQ(m, 0u);
+  }
+  EXPECT_EQ(shared.DigestValue(), digest);
 }
 
 }  // namespace
