@@ -10,19 +10,6 @@ namespace karousos {
 
 namespace {
 
-// Reject-reason prefix by rule family, mirroring the session's throw sites:
-// slice-local lint findings reject as "advice lint: ...", the cross-epoch
-// static rules as "model check: ...", and the container walk (which the
-// session never sees — its front end is LoadSegmentStreams) as
-// "segment stream: ...".
-std::string ReasonFor(const LintDiagnostic& d) {
-  bool seg = d.rule.rfind("KAR-SEG", 0) == 0;
-  bool file_layer = d.rule == kKarSeg001 || d.rule == kKarSeg002 || d.rule == kKarSeg003 ||
-                    d.rule == kKarSeg010;
-  const char* prefix = !seg ? "advice lint: " : file_layer ? "segment stream: " : "model check: ";
-  return prefix + d.Format();
-}
-
 // Walks a (trace, advice) container pair in lockstep, yielding one decoded
 // EpochSegment per epoch. Owns the file-layer rules: unreadable container
 // (001), frame schema (002), epoch sequencing (003), stream pairing (010).
@@ -146,9 +133,7 @@ class PairedSegmentCursor {
 
 }  // namespace
 
-SegmentChecker::SegmentChecker(uint64_t epoch_requests) : epoch_requests_(epoch_requests) {
-  carry_.Begin(epoch_requests, /*standalone=*/true);
-}
+SegmentChecker::SegmentChecker(uint64_t epoch_requests) { carry_.Begin(epoch_requests); }
 
 void SegmentChecker::NoteVerdict() {
   if (!result_.ok) {
@@ -158,7 +143,7 @@ void SegmentChecker::NoteVerdict() {
     if (d.severity == LintSeverity::kError) {
       result_.ok = false;
       result_.rule = d.rule;
-      result_.reason = ReasonFor(d);
+      result_.reason = RejectReasonFor(d);
       return;
     }
   }
@@ -180,40 +165,41 @@ bool SegmentChecker::CheckEpoch(const EpochSegment& segment) {
   }
   epoch_rids_.clear();
   for (RequestId rid : trace_rids_) {
-    if (EpochOfRid(rid, epoch_requests_) == epochs_fed_) {
+    if (EpochOfRid(rid, carry_.epoch_requests()) == carry_.epochs()) {
       epoch_rids_.insert(rid);
     }
   }
-  carry_.RegisterImports(segment);
+  carry_.RegisterImports(segment.imports);
   LintEpochContext ctx;
   ctx.trace_rids = &trace_rids_;
   ctx.epoch_rids = &epoch_rids_;
-  ctx.var_prec = [this](VarId vid, const OpRef& op) { return carry_.ResolveVarPrec(vid, op); };
+  ctx.var_prec = [this](VarId vid, const OpRef& op) {
+    ResolvedVarEntry entry = carry_.ResolveVarEntry(vid, op);
+    return VarPrecLookup{entry.present, entry.is_write};
+  };
   ctx.tx_op = [this](const TxOpRef& ref) { return carry_.ResolveTxOp(ref); };
   for (LintDiagnostic& d : LintAdviceEpoch(segment.advice, ctx)) {
     result_.diagnostics.push_back(std::move(d));
   }
   // Mirror the session's throw points: an ADV error stops before the SEG
-  // pass, and a failing epoch is never folded into the carries.
+  // pass. The fold happens either way, as it does in the session.
+  const RidScope scope{&trace_rids_, nullptr};
   NoteVerdict();
   if (result_.ok) {
-    carry_.CheckEpoch(segment, trace_rids_, &result_.diagnostics);
+    carry_.CheckEpoch(segment.advice, segment.imports, scope, &result_.diagnostics);
     NoteVerdict();
   }
-  if (result_.ok) {
-    carry_.EndEpoch(segment);
-  }
-  ++epochs_fed_;
-  result_.epochs = epochs_fed_;
+  carry_.Fold(segment.advice, scope);
+  result_.epochs = carry_.epochs();
   return result_.ok;
 }
 
 CheckResult SegmentChecker::Finish() {
   if (result_.ok) {
-    carry_.Finish(&result_.diagnostics);
+    carry_.Finish(/*run_rules=*/true, &result_.diagnostics);
     NoteVerdict();
   }
-  result_.epochs = epochs_fed_;
+  result_.epochs = carry_.epochs();
   return std::move(result_);
 }
 
@@ -246,7 +232,7 @@ CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
     result.ok = false;
     const LintDiagnostic& first = result.diagnostics.back();
     result.rule = first.rule;
-    result.reason = ReasonFor(first);
+    result.reason = RejectReasonFor(first);
   } else {
     result = checker.Finish();
   }
@@ -255,7 +241,7 @@ CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
 }
 
 CheckResult SegmentChecker::Abandon() {
-  result_.epochs = epochs_fed_;
+  result_.epochs = carry_.epochs();
   return std::move(result_);
 }
 
@@ -283,7 +269,7 @@ SegmentLoadResult LoadSegmentStreams(const std::vector<uint8_t>& trace_bytes,
       out.ok = false;
       const LintDiagnostic& first = out.diagnostics.back();
       out.rule = first.rule;
-      out.reason = ReasonFor(first);
+      out.reason = RejectReasonFor(first);
       break;
     }
     if (r == 0) {

@@ -3,11 +3,13 @@
 //
 // Layering: SegmentChecker replays exactly the static prefix of the
 // AuditSession's per-epoch work (trace-window ingestion, the slice-local
-// KAR-ADV lint with carry-backed resolution, the KAR-SEG cross-epoch rules of
-// src/analysis/carry_lint.h), so any stream the checker rejects is rejected
-// by the full audit with the same first rule — and the session's fast-reject
+// KAR-ADV lint with carry-backed resolution, the KAR-SEG cross-epoch rules)
+// over the same CarryState the session keeps (src/analysis/carry_state.h),
+// folded the same way. So any stream the checker rejects is rejected by the
+// full audit with the same first rule, and the session's fast-reject
 // pre-screen is this same pass, so statically-rejectable advice never reaches
-// ReExec. The container walk (PairedSegmentCursor inside check.cc) owns the
+// ReExec. What the checker skips is re-execution, not state: it holds the
+// same value-carrying carries the session holds. The container walk (PairedSegmentCursor inside check.cc) owns the
 // file-layer rules KAR-SEG-001..003 and 010 and is shared with
 // LoadSegmentStreams, the audit path's segment-container front end.
 #ifndef SRC_ANALYSIS_CHECK_H_
@@ -18,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/carry_lint.h"
+#include "src/analysis/carry_state.h"
 #include "src/analysis/diagnostic.h"
 #include "src/server/rollover.h"
 #include "src/trace/trace.h"
@@ -52,11 +54,9 @@ class SegmentChecker {
  private:
   void NoteVerdict();
 
-  uint64_t epoch_requests_;
-  uint64_t epochs_fed_ = 0;
   std::set<RequestId> trace_rids_;
   std::set<RequestId> epoch_rids_;
-  CarryLint carry_;
+  CarryState carry_;
   CheckResult result_;
 };
 

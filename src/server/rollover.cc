@@ -118,6 +118,35 @@ ContinuityImports::VarImport DescribeVarEntry(const Advice& advice, VarId vid, c
   return imp;
 }
 
+bool ImportMatches(const ContinuityImports::TxOpImport& alleged,
+                   const ContinuityImports::TxOpImport& real) {
+  if (alleged.txn_present != real.txn_present || alleged.op_present != real.op_present) {
+    return false;
+  }
+  if (!alleged.op_present) {
+    return true;
+  }
+  bool put = static_cast<TxOpType>(alleged.type) == TxOpType::kPut;
+  if (put != (static_cast<TxOpType>(real.type) == TxOpType::kPut)) {
+    return false;
+  }
+  return !put || (alleged.key == real.key && alleged.value == real.value &&
+                  alleged.hid == real.hid && alleged.opnum == real.opnum);
+}
+
+bool ImportMatches(const ContinuityImports::VarImport& alleged,
+                   const ContinuityImports::VarImport& real) {
+  if (alleged.present != real.present) {
+    return false;
+  }
+  if (!alleged.present) {
+    return true;
+  }
+  bool write = static_cast<VarLogEntry::Kind>(alleged.kind) == VarLogEntry::Kind::kWrite;
+  return write == (static_cast<VarLogEntry::Kind>(real.kind) == VarLogEntry::Kind::kWrite) &&
+         (!write || alleged.value == real.value);
+}
+
 EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests) {
   // One up-front copy, then the owned slicer: a single slicing implementation
   // keeps server-side and verifier-side segments byte-identical by

@@ -80,6 +80,16 @@ struct ContinuityImports {
 ContinuityImports::TxOpImport DescribeTxOp(const Advice& advice, const TxOpRef& ref);
 ContinuityImports::VarImport DescribeVarEntry(const Advice& advice, VarId vid, const OpRef& op);
 
+// Whether an allegation matches a description of the real content at its
+// coordinate (from the slice that arrived, the carries, or an owning shard's
+// export). Only what a consumer can observe is pinned: presence, PUT-ness and
+// a PUT's payload; for var-log entries, presence, write-ness and a write's
+// value.
+bool ImportMatches(const ContinuityImports::TxOpImport& alleged,
+                   const ContinuityImports::TxOpImport& real);
+bool ImportMatches(const ContinuityImports::VarImport& alleged,
+                   const ContinuityImports::VarImport& real);
+
 // One epoch's audit input: the trace window, the advice slice, and the
 // continuity imports for the slice's forward references.
 struct EpochSegment {

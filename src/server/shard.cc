@@ -4,7 +4,7 @@
 #include <set>
 #include <utility>
 
-#include "src/analysis/carry_lint.h"
+#include "src/analysis/carry_state.h"
 #include "src/server/kseg_codec.h"
 
 namespace karousos {

@@ -12,57 +12,19 @@ namespace {
 
 // Bumped whenever the checkpoint payload layout changes; Restore refuses
 // other versions (a stale checkpoint must fail loudly, not misparse).
-constexpr uint64_t kCheckpointVersion = 2;
+constexpr uint64_t kCheckpointVersion = 3;
 
 void WriteTxnKey(const TxnKey& t, ByteWriter* w) {
   w->WriteVarint(t.rid);
   w->WriteFixed64(t.tid);
 }
 
-// Failure-latching reader: every getter returns a default once any field
-// fails to parse, and ok() reports the verdict at the end. Keeps the Restore
-// body linear instead of a pyramid of optional checks.
-struct CkptReader {
-  explicit CkptReader(const std::vector<uint8_t>& payload) : r(payload) {}
-
-  uint64_t V() { return Get(r.ReadVarint()); }
-  uint64_t F64() { return Get(r.ReadFixed64()); }
-  uint8_t B() { return Get(r.ReadByte()); }
-  bool Bool() { return Get(r.ReadBool()); }
-  std::string S() { return Get(r.ReadString()); }
-  Value Val() { return Get(r.ReadValue()); }
-  OpRef Op() { return Get(DeserializeOpRef(&r)); }
-  TxOpRef Tx() { return Get(DeserializeTxOpRef(&r)); }
-  TxnKey Txn() {
-    TxnKey t;
-    t.rid = V();
-    t.tid = F64();
-    return t;
-  }
-
-  // A count about to drive a loop; bounded by the remaining bytes so a
-  // corrupted length cannot make Restore allocate unboundedly.
-  size_t N() {
-    uint64_t n = V();
-    if (n > r.remaining()) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<size_t>(n);
-  }
-
-  template <typename T>
-  T Get(std::optional<T> v) {
-    if (!v) {
-      ok = false;
-      return T{};
-    }
-    return std::move(*v);
-  }
-
-  ByteReader r;
-  bool ok = true;
-};
+TxnKey ReadTxnKey(CkptReader* c) {
+  TxnKey t;
+  t.rid = c->V();
+  t.tid = c->F64();
+  return t;
+}
 
 }  // namespace
 
@@ -76,9 +38,9 @@ void AuditSession::set_untracked_accesses(const UntrackedAccessLog* log) {
   v_.set_untracked_accesses(log);
 }
 
-uint64_t AuditSession::next_epoch() const { return v_.epochs_fed_; }
+uint64_t AuditSession::next_epoch() const { return v_.epochs_fed(); }
 
-uint64_t AuditSession::epoch_requests() const { return v_.epoch_requests_; }
+uint64_t AuditSession::epoch_requests() const { return v_.carry_.epoch_requests(); }
 
 bool AuditSession::decided() const { return v_.decided_; }
 
@@ -88,11 +50,11 @@ bool AuditSession::FeedEpoch(const EpochSegment& segment) {
   if (v_.decided_) {
     return false;
   }
-  if (segment.epoch != v_.epochs_fed_) {
+  if (segment.epoch != v_.epochs_fed()) {
     v_.decided_ = true;
     v_.decided_reason_ = "epoch segment " + std::to_string(segment.epoch) +
                          " arrived out of order (expected epoch " +
-                         std::to_string(v_.epochs_fed_) + ")";
+                         std::to_string(v_.epochs_fed()) + ")";
     return false;
   }
   v_.StreamEpoch(segment);
@@ -104,8 +66,6 @@ AuditResult AuditSession::Finish() { return v_.StreamFinish(); }
 std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   ByteWriter w;
   w.WriteVarint(kCheckpointVersion);
-  w.WriteVarint(v_.epoch_requests_);
-  w.WriteVarint(v_.epochs_fed_);
   w.WriteByte(static_cast<uint8_t>(v_.config_.isolation));
   w.WriteBool(v_.init_done_);
   w.WriteBool(v_.decided_);
@@ -264,53 +224,9 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
     w.WriteVarint(index);
   }
 
-  w.WriteVarint(v_.stream_write_order_.size());
-  for (const TxOpRef& ref : v_.stream_write_order_) {
-    SerializeTxOpRef(ref, &w);
-  }
-
-  // Carries and pending imports.
-  w.WriteVarint(v_.txn_size_carry_.size());
-  for (const auto& [txn, size] : v_.txn_size_carry_) {
-    WriteTxnKey(txn, &w);
-    w.WriteVarint(size);
-  }
-  w.WriteVarint(v_.put_carry_.size());
-  for (const auto& [ref, put] : v_.put_carry_) {
-    SerializeTxOpRef(ref, &w);
-    w.WriteString(put.key);
-    w.WriteValue(put.value);
-    w.WriteFixed64(put.hid);
-    w.WriteVarint(put.opnum);
-  }
-  w.WriteVarint(v_.var_carry_.size());
-  for (const auto& [key, carry] : v_.var_carry_) {
-    w.WriteFixed64(key.first);
-    SerializeOpRef(key.second, &w);
-    w.WriteBool(carry.is_write);
-    if (carry.is_write) {
-      w.WriteValue(carry.value);
-    }
-  }
-  w.WriteVarint(v_.pending_tx_imports_.size());
-  for (const auto& [ref, imp] : v_.pending_tx_imports_) {
-    SerializeTxOpRef(ref, &w);
-    w.WriteBool(imp.txn_present);
-    w.WriteBool(imp.op_present);
-    w.WriteByte(imp.type);
-    w.WriteString(imp.key);
-    w.WriteValue(imp.value);
-    w.WriteFixed64(imp.hid);
-    w.WriteVarint(imp.opnum);
-  }
-  w.WriteVarint(v_.pending_var_imports_.size());
-  for (const auto& [key, imp] : v_.pending_var_imports_) {
-    w.WriteFixed64(key.first);
-    SerializeOpRef(key.second, &w);
-    w.WriteBool(imp.present);
-    w.WriteByte(imp.kind);
-    w.WriteValue(imp.value);
-  }
+  // Everything completed epochs left for later ones, rules' tables included
+  // whether or not this session ran the pre-screen.
+  v_.carry_.Serialize(&w);
 
   w.WriteVarint(v_.diagnostics_.size());
   for (const LintDiagnostic& d : v_.diagnostics_) {
@@ -330,12 +246,8 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   w.WriteVarint(v_.var_dict_entries_pruned_);
   w.WriteVarint(v_.peak_resident_);
 
-  // v2: the fast-reject pre-screen's cross-epoch state (empty when the
-  // session runs with prescreen off — the encoding is the same either way).
-  v_.carry_lint_.Serialize(&w);
-
   SegmentWriter out;
-  out.Append(SegmentKind::kCheckpoint, v_.epochs_fed_, w.bytes());
+  out.Append(SegmentKind::kCheckpoint, v_.epochs_fed(), w.bytes());
   return out.Take();
 }
 
@@ -366,18 +278,15 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
     *error = "checkpoint: unsupported version " + std::to_string(version);
     return nullptr;
   }
-  uint64_t epoch_requests = c.V();
-  uint64_t epochs_fed = c.V();
   uint8_t isolation = c.B();
   if (c.ok && isolation != static_cast<uint8_t>(config.isolation)) {
     *error = "checkpoint: isolation level does not match the session config";
     return nullptr;
   }
 
-  auto session =
-      std::unique_ptr<AuditSession>(new AuditSession(program, config, epoch_requests));
+  // The epoch size and index come back with the carry state below.
+  auto session = std::unique_ptr<AuditSession>(new AuditSession(program, config, 0));
   Verifier& v = session->v_;
-  v.epochs_fed_ = epochs_fed;
   v.init_done_ = c.Bool();
   v.decided_ = c.Bool();
   v.decided_reason_ = c.S();
@@ -470,7 +379,7 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
   v.history_.ok = c.Bool();
   v.history_.reason = c.S();
   for (size_t i = c.N(); i > 0 && c.ok; --i) {
-    v.history_.committed.insert(c.Txn());
+    v.history_.committed.insert(ReadTxnKey(&c));
   }
   for (size_t i = c.N(); i > 0 && c.ok; --i) {
     TxOpRef write = c.Tx();
@@ -486,52 +395,8 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
     v.history_.last_modification[{rid, tid, std::move(key)}] = static_cast<uint32_t>(c.V());
   }
 
-  for (size_t i = c.N(); i > 0 && c.ok; --i) {
-    v.stream_write_order_.push_back(c.Tx());
-  }
-
-  for (size_t i = c.N(); i > 0 && c.ok; --i) {
-    TxnKey txn = c.Txn();
-    v.txn_size_carry_[txn] = static_cast<uint32_t>(c.V());
-  }
-  for (size_t i = c.N(); i > 0 && c.ok; --i) {
-    TxOpRef ref = c.Tx();
-    Verifier::PutCarry& put = v.put_carry_[ref];
-    put.key = c.S();
-    put.value = c.Val();
-    put.hid = c.F64();
-    put.opnum = static_cast<OpNum>(c.V());
-  }
-  for (size_t i = c.N(); i > 0 && c.ok; --i) {
-    VarId vid = c.F64();
-    OpRef op = c.Op();
-    Verifier::VarCarry& carry = v.var_carry_[{vid, op}];
-    carry.is_write = c.Bool();
-    if (carry.is_write) {
-      carry.value = c.Val();
-    }
-  }
-  for (size_t i = c.N(); i > 0 && c.ok; --i) {
-    TxOpRef ref = c.Tx();
-    ContinuityImports::TxOpImport& imp = v.pending_tx_imports_[ref];
-    imp.ref = ref;
-    imp.txn_present = c.Bool();
-    imp.op_present = c.Bool();
-    imp.type = c.B();
-    imp.key = c.S();
-    imp.value = c.Val();
-    imp.hid = c.F64();
-    imp.opnum = static_cast<OpNum>(c.V());
-  }
-  for (size_t i = c.N(); i > 0 && c.ok; --i) {
-    VarId vid = c.F64();
-    OpRef op = c.Op();
-    ContinuityImports::VarImport& imp = v.pending_var_imports_[{vid, op}];
-    imp.vid = vid;
-    imp.op = op;
-    imp.present = c.Bool();
-    imp.kind = c.B();
-    imp.value = c.Val();
+  if (c.ok) {
+    v.carry_.Deserialize(&c);
   }
 
   for (size_t i = c.N(); i > 0 && c.ok; --i) {
@@ -552,10 +417,6 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
   v.stats_.isolation_dg_edges = c.V();
   v.var_dict_entries_pruned_ = c.V();
   v.peak_resident_ = c.V();
-
-  if (c.ok && !v.carry_lint_.Deserialize(&c.r)) {
-    c.ok = false;
-  }
 
   if (!c.ok || !c.r.AtEnd()) {
     *error = "checkpoint: payload is malformed or truncated";

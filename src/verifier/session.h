@@ -1,9 +1,13 @@
 // Resumable epoch-streaming audit: AuditSession consumes one EpochSegment at
 // a time (trace window + advice slice + continuity imports, as produced by
 // SliceRun or a collector's segment stream) and assembles the verdict at
-// Finish. Between epochs the session's entire cross-epoch state — the carry
-// state — serializes to a single checkpoint frame, so an interrupted audit
-// resumes from the last completed epoch instead of restarting.
+// Finish. Between epochs the session's entire cross-epoch state serializes to
+// a single checkpoint frame, so an interrupted audit resumes from the last
+// completed epoch instead of restarting. Its advice-derived part is one
+// CarryState (src/analysis/carry_state.h), the same tables the KAR-SEG
+// pre-screen and `karousos check` read; it is folded every epoch whether or
+// not the pre-screen runs, so a checkpoint saved under one
+// VerifierConfig::prescreen setting resumes under the other.
 //
 // The session and Verifier::Audit drive the same epoch pipeline
 // (src/verifier/verifier.h); Audit is that pipeline fed the whole run as one
@@ -46,14 +50,15 @@ class AuditSession {
   // and assembles the verdict. Call exactly once, after the last epoch.
   AuditResult Finish();
 
-  // Serializes the full carry state as one kCheckpoint segment frame. Valid
-  // between epochs (i.e. after any FeedEpoch call and before Finish).
+  // Serializes the full session state, carry state included, as one
+  // kCheckpoint segment frame. Valid between epochs (i.e. after any FeedEpoch
+  // call and before Finish).
   std::vector<uint8_t> SaveCheckpoint() const;
 
   // Reconstructs a session from SaveCheckpoint bytes. The program and the
-  // config must match the checkpointing session's (the isolation level is
-  // embedded and verified). Returns nullptr and sets *error on mismatch or
-  // malformed bytes.
+  // isolation level must match the checkpointing session's (the isolation
+  // level is embedded and verified); threads and prescreen may differ.
+  // Returns nullptr and sets *error on mismatch or malformed bytes.
   static std::unique_ptr<AuditSession> Restore(const Program& program,
                                                const VerifierConfig& config,
                                                const std::vector<uint8_t>& bytes,

@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/analysis/carry_lint.h"
+#include "src/analysis/carry_state.h"
 #include "src/common/segment.h"
 #include "src/common/serde.h"
 #include "src/server/advice.h"
@@ -475,66 +475,35 @@ class ShardAudit {
         a.tags[rid] = tag;
       }
     }
-    a.write_order = v.stream_write_order_;
+    const CarryState& carry = v.carry_;
+    a.write_order = carry.write_order();
     a.committed = v.history_.committed;
     a.read_map = v.history_.read_map;
     a.last_modification = v.history_.last_modification;
-    for (const auto& [ref, put] : v.put_carry_) {
+    for (const auto& [ref, put] : carry.puts()) {
       a.put_summaries[ref] = ShardArtifact::PutSummary{put.key, put.hid, put.opnum};
     }
-    a.txn_sizes = v.txn_size_carry_;
+    a.txn_sizes = carry.txn_sizes();
 
     // Unconfirmable (foreign-owned) continuity allegations, for the merge.
-    for (const auto& [ref, imp] : v.pending_tx_imports_) {
-      if (v.ForeignRid(ref.rid)) {
-        a.pending_tx_imports[ref] = imp;
+    const RidScope scope = v.rid_scope();
+    for (const auto& [ref, pending] : carry.tx_imports()) {
+      if (scope.Foreign(ref.rid)) {
+        a.pending_tx_imports[ref] = pending.imp;
       }
     }
-    for (const auto& [key, imp] : v.pending_var_imports_) {
-      if (v.ForeignRid(key.second.rid)) {
-        a.pending_var_imports[key] = imp;
+    for (const auto& [key, pending] : carry.var_imports()) {
+      if (scope.Foreign(key.second.rid)) {
+        a.pending_var_imports[key] = pending.imp;
       }
     }
-    // Descriptions of this shard's real content at its export obligations —
-    // what the importing shards' allegations must match (same semantics as
-    // StreamConfirmImports' carry lookup).
+    // Descriptions of this shard's real content at its export obligations:
+    // what the importing shards' allegations must match.
     for (const TxOpRef& ref : b.export_tx_refs) {
-      ContinuityImports::TxOpImport e;
-      e.ref = ref;
-      auto size_it = v.txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
-      if (size_it != v.txn_size_carry_.end()) {
-        e.txn_present = true;
-        if (ref.index >= 1 && ref.index <= size_it->second) {
-          e.op_present = true;
-          auto put_it = v.put_carry_.find(ref);
-          if (put_it != v.put_carry_.end()) {
-            e.type = static_cast<uint8_t>(TxOpType::kPut);
-            e.key = put_it->second.key;
-            e.value = put_it->second.value;
-            e.hid = put_it->second.hid;
-            e.opnum = put_it->second.opnum;
-          } else {
-            // Only PUT-ness matters to any confirmation consumer.
-            e.type = static_cast<uint8_t>(TxOpType::kGet);
-          }
-        }
-      }
-      a.tx_exports[ref] = std::move(e);
+      a.tx_exports[ref] = carry.DescribeTxOp(ref);
     }
     for (const auto& [vid, op] : b.export_var_refs) {
-      ContinuityImports::VarImport e;
-      e.vid = vid;
-      e.op = op;
-      auto carry_it = v.var_carry_.find(std::make_pair(vid, op));
-      if (carry_it != v.var_carry_.end()) {
-        e.present = true;
-        e.kind = static_cast<uint8_t>(carry_it->second.is_write ? VarLogEntry::Kind::kWrite
-                                                                : VarLogEntry::Kind::kRead);
-        if (carry_it->second.is_write) {
-          e.value = carry_it->second.value;
-        }
-      }
-      a.var_exports[std::make_pair(vid, op)] = std::move(e);
+      a.var_exports[std::make_pair(vid, op)] = carry.DescribeVarEntry(vid, op);
     }
 
     // Write-chain fragments from this shard's re-execution. vars_ iterates in
@@ -791,7 +760,8 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
 
   // --- Cross-shard continuity confirmation (KAR-SEG-014): every allegation a
   // shard consumed about another shard's content must match what the owning
-  // shard's audit actually found there — StreamConfirmImports, one level up.
+  // shard's audit actually found there: CarryState::ConfirmImports, one level
+  // up, with the owning shard's export description as the real content.
   for (const ShardArtifact* a : ordered) {
     std::string loc = "merge[shard " + std::to_string(a->shard) + "]";
     for (const auto& [ref, imp] : a->pending_tx_imports) {
@@ -809,17 +779,7 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
                          "continuity import for " + ref.ToString() +
                              " has no confirmation from its owning shard");
       }
-      bool ok = real->txn_present == imp.txn_present && real->op_present == imp.op_present;
-      if (ok && imp.op_present) {
-        bool real_is_put = static_cast<TxOpType>(real->type) == TxOpType::kPut;
-        bool imp_is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
-        ok = real_is_put == imp_is_put;
-        if (ok && imp_is_put) {
-          ok = real->key == imp.key && real->value == imp.value && real->hid == imp.hid &&
-               real->opnum == imp.opnum;
-        }
-      }
-      if (!ok) {
+      if (!ImportMatches(imp, *real)) {
         return fail_flat(kKarSeg014, loc,
                          "continuity import for " + ref.ToString() +
                              " does not match the owning shard's content");
@@ -840,16 +800,7 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
                          "continuity import for variable log entry " + key.second.ToString() +
                              " has no confirmation from its owning shard");
       }
-      bool ok = real->present == imp.present;
-      if (ok && imp.present) {
-        bool real_is_write = static_cast<VarLogEntry::Kind>(real->kind) ==
-                             VarLogEntry::Kind::kWrite;
-        bool imp_is_write = static_cast<VarLogEntry::Kind>(imp.kind) ==
-                            VarLogEntry::Kind::kWrite;
-        ok = real_is_write == imp_is_write &&
-             (!real_is_write || real->value == imp.value);
-      }
-      if (!ok) {
+      if (!ImportMatches(imp, *real)) {
         return fail_flat(kKarSeg014, loc,
                          "continuity import for variable log entry " + key.second.ToString() +
                              " does not match the owning shard's content");

@@ -359,42 +359,10 @@ ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
     }
     return out;
   }
-  auto size_it = txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
-  if (size_it != txn_size_carry_.end()) {
-    ResolvedTxOp out;
-    out.txn_present = true;
-    if (ref.index >= 1 && ref.index <= size_it->second) {
-      out.op_present = true;
-      auto put_it = put_carry_.find(ref);
-      if (put_it != put_carry_.end()) {
-        out.is_put = true;
-        out.key = put_it->second.key;
-        out.put_value = &put_it->second.value;
-        out.hid = put_it->second.hid;
-        out.opnum = put_it->second.opnum;
-      }
-    }
-    return out;
-  }
-  auto imp_it = pending_tx_imports_.find(ref);
-  if (imp_it != pending_tx_imports_.end()) {
-    const ContinuityImports::TxOpImport& imp = imp_it->second;
-    ResolvedTxOp out;
-    out.txn_present = imp.txn_present;
-    out.op_present = imp.op_present;
-    if (imp.op_present) {
-      out.is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
-      out.key = imp.key;
-      out.put_value = &imp.value;
-      out.hid = imp.hid;
-      out.opnum = imp.opnum;
-    }
-    return out;
-  }
-  return ResolvedTxOp{};
+  return carry_.ResolveTxOp(ref);
 }
 
-Verifier::ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op) const {
+ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op) const {
   auto log_it = var_log_idx_.find(vid);
   if (log_it != var_log_idx_.end()) {
     auto entry_it = log_it->second.find(op);
@@ -403,25 +371,16 @@ Verifier::ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op)
       return {true, entry.kind == VarLogEntry::Kind::kWrite, &entry.value};
     }
   }
-  auto carry_it = var_carry_.find({vid, op});
-  if (carry_it != var_carry_.end()) {
-    const VarCarry& carry = carry_it->second;
-    return {true, carry.is_write, carry.is_write ? &carry.value : nullptr};
-  }
-  auto imp_it = pending_var_imports_.find({vid, op});
-  if (imp_it != pending_var_imports_.end() && imp_it->second.present) {
-    const ContinuityImports::VarImport& imp = imp_it->second;
-    return {true, static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite,
-            &imp.value};
-  }
-  return {};
+  return carry_.ResolveVarEntry(vid, op);
 }
 
-void Verifier::StreamBegin(uint64_t epoch_requests) {
-  epoch_requests_ = epoch_requests;
-  if (config_.prescreen) {
-    carry_lint_.Begin(epoch_requests, /*standalone=*/false);
-    carry_lint_.SetShardFilter(shard_rids_);  // Begin resets the lint's state.
+void Verifier::StreamBegin(uint64_t epoch_requests) { carry_.Begin(epoch_requests); }
+
+void Verifier::ThrowFirstError(size_t first) const {
+  for (size_t i = first; i < diagnostics_.size(); ++i) {
+    if (diagnostics_[i].severity == LintSeverity::kError) {
+      throw RejectError(diagnostics_[i].rule, RejectReasonFor(diagnostics_[i]));
+    }
   }
 }
 
@@ -497,6 +456,7 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
     return;  // Drain: the verdict is already determined.
   }
   const bool final_epoch = segment == nullptr;
+  const uint64_t epoch = epochs_fed();
   PhaseTimer total_timer(&profile_.total_seconds);
   try {
     {
@@ -504,7 +464,7 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
       StreamIngestWindow(window);
       epoch_rids_.clear();
       for (RequestId rid : trace_rids_) {
-        if (EpochOfRid(rid, epoch_requests_) == epochs_fed_) {
+        if (EpochOfRid(rid, carry_.epoch_requests()) == epoch) {
           epoch_rids_.insert(rid);
         }
       }
@@ -528,15 +488,7 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
         }
       }
       advice_ = &advice;
-      for (const auto& imp : imports.tx_ops) {
-        pending_tx_imports_.emplace(imp.ref, imp);
-      }
-      for (const auto& imp : imports.var_entries) {
-        pending_var_imports_.emplace(std::make_pair(imp.vid, imp.op), imp);
-      }
-      if (config_.prescreen) {
-        carry_lint_.RegisterImports(*segment);
-      }
+      carry_.RegisterImports(imports);
       BuildAdviceIndices();
       // Slice-local lint. The write-order rules are global: they run at
       // Finish over the concatenated order, except in a final epoch, whose
@@ -564,21 +516,13 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
         diagnostics_.insert(at, std::make_move_iterator(order_findings.begin()),
                             std::make_move_iterator(order_findings.end()));
       }
-      for (size_t i = first_new; i < diagnostics_.size(); ++i) {
-        if (diagnostics_[i].severity == LintSeverity::kError) {
-          throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
-        }
-      }
+      ThrowFirstError(first_new);
       if (config_.prescreen) {
         // Fast-reject pre-screen: the cross-epoch static rules, before any of
         // this epoch's graph building or re-execution.
         size_t first_seg = diagnostics_.size();
-        carry_lint_.CheckEpoch(*segment, trace_rids_, &diagnostics_);
-        for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
-          if (diagnostics_[i].severity == LintSeverity::kError) {
-            throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
-          }
-        }
+        carry_.CheckEpoch(advice, imports, rid_scope(), &diagnostics_);
+        ThrowFirstError(first_seg);
       }
       if (!init_done_) {
         RunInitialization();
@@ -589,8 +533,6 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
       AddBoundaryEdges();
       AddHandlerRelatedEdges();
       AddExternalStateEdges();
-      stream_write_order_.insert(stream_write_order_.end(), advice.write_order.begin(),
-                                 advice.write_order.end());
     }
     {
       PhaseTimer t(&profile_.reexec_seconds);
@@ -600,13 +542,13 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
     decided_ = true;
     decided_reason_ = e.reason;
     decided_rule_ = e.rule;
-    decided_epoch_ = epochs_fed_;
+    decided_epoch_ = epoch;
   } catch (const std::exception& e) {
     // Malformed advice must never crash the verifier: any fault surfacing
     // from re-executed application code counts as server misbehavior.
     decided_ = true;
     decided_reason_ = std::string("re-execution fault: ") + e.what();
-    decided_epoch_ = epochs_fed_;
+    decided_epoch_ = epoch;
   }
   // A final epoch keeps its slice: nothing follows it, so there is nothing to
   // fold, and its indices serve Finish directly.
@@ -615,7 +557,6 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
   } else {
     StreamEndEpoch(*segment);
   }
-  ++epochs_fed_;
 }
 
 size_t Verifier::MeasureResidentBytes(const EpochSegment& segment) const {
@@ -625,56 +566,17 @@ size_t Verifier::MeasureResidentBytes(const EpochSegment& segment) const {
   ByteWriter w;
   segment.advice.Serialize(&w);
   segment.imports.Serialize(&w);
-  for (const auto& [txn, size] : txn_size_carry_) {
-    w.WriteVarint(txn.rid);
-    w.WriteVarint(txn.tid);
-    w.WriteVarint(size);
-  }
-  for (const auto& [ref, put] : put_carry_) {
-    SerializeTxOpRef(ref, &w);
-    w.WriteString(put.key);
-    w.WriteValue(put.value);
-    w.WriteVarint(put.hid);
-    w.WriteVarint(put.opnum);
-  }
-  for (const auto& [key, carry] : var_carry_) {
-    w.WriteVarint(key.first);
-    SerializeOpRef(key.second, &w);
-    w.WriteBool(carry.is_write);
-    if (carry.is_write) {
-      w.WriteValue(carry.value);
-    }
-  }
+  carry_.WriteResolutionCarries(&w, /*counted=*/false);
   return w.size();
 }
 
 void Verifier::StreamEndEpoch(const EpochSegment& segment) {
   peak_resident_ = std::max(peak_resident_, MeasureResidentBytes(segment));
-  if (config_.prescreen && !decided_) {
-    carry_lint_.EndEpoch(segment);
-  }
-
-  // Fold the slice into the carries: transaction shapes + PUT payloads, and
-  // var-log entries (reads kind-only — nothing ever feeds from a read).
-  for (const auto& [txn, log] : segment.advice.tx_logs) {
-    txn_size_carry_[txn] = static_cast<uint32_t>(log.size());
-    for (uint32_t i = 1; i <= log.size(); ++i) {
-      const TxOperation& op = log[i - 1];
-      if (op.type == TxOpType::kPut) {
-        put_carry_[TxOpRef{txn.rid, txn.tid, i}] = PutCarry{op.key, op.put_value, op.hid, op.opnum};
-      }
-    }
-  }
-  for (const auto& [vid, log] : segment.advice.var_logs) {
-    for (const auto& [op, entry] : log) {
-      bool is_write = entry.kind == VarLogEntry::Kind::kWrite;
-      var_carry_[{vid, op}] = VarCarry{is_write, is_write ? entry.value : Value()};
-    }
-  }
+  carry_.Fold(segment.advice, rid_scope());
 
   // Drop everything scoped to the finished epoch. The graph, vars_ (minus
-  // pruned var_dict payloads), history_, balance, carried indices, and the
-  // accumulated write order are all that survive.
+  // pruned var_dict payloads), history_, balance and the carry state are all
+  // that survive.
   advice_ = nullptr;
   op_map_.clear();
   activated_handlers_.clear();
@@ -709,64 +611,6 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
   }
 }
 
-void Verifier::StreamConfirmImports() {
-  // Every forward allegation the stream consumed must match what the real
-  // slice carried once its epoch arrived. Wrong continuity data can only
-  // cause rejection (§2.1's advice property, applied to the slicer).
-  for (const auto& [ref, imp] : pending_tx_imports_) {
-    if (ForeignRid(ref.rid)) {
-      continue;  // Owned elsewhere: the merge confirms it against that shard.
-    }
-    bool real_txn = false;
-    bool real_op = false;
-    const PutCarry* real_put = nullptr;
-    auto size_it = txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
-    if (size_it != txn_size_carry_.end()) {
-      real_txn = true;
-      if (ref.index >= 1 && ref.index <= size_it->second) {
-        real_op = true;
-        auto put_it = put_carry_.find(ref);
-        if (put_it != put_carry_.end()) {
-          real_put = &put_it->second;
-        }
-      }
-    }
-    bool ok = real_txn == imp.txn_present && real_op == imp.op_present;
-    if (ok && imp.op_present) {
-      // Only PUT-ness and PUT payloads can influence any consumer, so that is
-      // what the confirmation pins down.
-      bool imp_is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
-      ok = (real_put != nullptr) == imp_is_put;
-      if (ok && imp_is_put) {
-        ok = real_put->key == imp.key && real_put->value == imp.value &&
-             real_put->hid == imp.hid && real_put->opnum == imp.opnum;
-      }
-    }
-    if (!ok) {
-      Reject("continuity import for " + ref.ToString() + " does not match the advice it mirrors");
-    }
-  }
-  for (const auto& [key, imp] : pending_var_imports_) {
-    if (ForeignRid(key.second.rid)) {
-      continue;
-    }
-    auto carry_it = var_carry_.find(key);
-    bool ok;
-    if (carry_it == var_carry_.end()) {
-      ok = !imp.present;
-    } else {
-      const VarCarry& carry = carry_it->second;
-      bool imp_is_write = static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite;
-      ok = imp.present && carry.is_write == imp_is_write &&
-           (!carry.is_write || carry.value == imp.value);
-    }
-    if (!ok) {
-      Reject("continuity import for variable log entry " + key.second.ToString() +
-             " does not match the advice it mirrors");
-    }
-  }
-}
-
 AuditResult Verifier::StreamFinish() {
   AuditResult result;
   PhaseTimer total_timer(&profile_.total_seconds);
@@ -779,7 +623,7 @@ AuditResult Verifier::StreamFinish() {
       // The stream must have covered every epoch the trace mentions; a rid
       // beyond the last fed epoch would otherwise silently skip re-execution.
       for (RequestId rid : trace_rids_) {
-        if (EpochOfRid(rid, epoch_requests_) >= epochs_fed_) {
+        if (EpochOfRid(rid, carry_.epoch_requests()) >= epochs_fed()) {
           Reject("trace contains requests beyond the final advice epoch");
         }
       }
@@ -790,30 +634,20 @@ AuditResult Verifier::StreamFinish() {
           Reject("trace is not balanced: request " + std::to_string(rid) + " has no response");
         }
       }
-      // Global write-order lint over the concatenated order (rules 009/010);
-      // a final epoch already ran it beside its slice lint.
+      // The carry state's finish checks: the global write-order lint over the
+      // concatenated order (rules 009/010), then, under the pre-screen, the
+      // finish-time static rules, in the slot the standalone checker runs
+      // them. A final epoch ran the order lint beside its slice lint and
+      // carries nothing to check.
       if (!final_epoch_fed_) {
         size_t first_new = diagnostics_.size();
-        LintWriteOrder(stream_write_order_,
-                       [this](const TxOpRef& ref) { return ResolveTxOp(ref); }, &diagnostics_);
-        for (size_t i = first_new; i < diagnostics_.size(); ++i) {
-          if (diagnostics_[i].severity == LintSeverity::kError) {
-            throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
-          }
+        carry_.Finish(config_.prescreen, &diagnostics_);
+        ThrowFirstError(first_new);
+        std::string mismatch = carry_.ConfirmImports(rid_scope());
+        if (!mismatch.empty()) {
+          Reject(mismatch);
         }
       }
-      if (config_.prescreen) {
-        // Finish-time static rules (early content, residual imports, prec
-        // acyclicity), in the same slot the standalone checker runs them.
-        size_t first_seg = diagnostics_.size();
-        carry_lint_.Finish(&diagnostics_);
-        for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
-          if (diagnostics_[i].severity == LintSeverity::kError) {
-            throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
-          }
-        }
-      }
-      StreamConfirmImports();
       // Isolation is a property of the global transaction order; under a
       // shard scope the local write order and history are one shard's
       // projection, so the check runs once at audit-merge over the stitched
@@ -822,7 +656,7 @@ AuditResult Verifier::StreamFinish() {
       if (shard_rids_ == nullptr) {
         IsolationCheckResult iso = CheckIsolationIndexed(
             config_.isolation, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
-            stream_write_order_, history_);
+            final_epoch_fed_ ? advice_->write_order : carry_.write_order(), history_);
         stats_.isolation_dg_nodes = iso.dg_nodes;
         stats_.isolation_dg_edges = iso.dg_edges;
         if (!iso.ok) {

@@ -24,7 +24,7 @@
 
 #include "src/adya/checker.h"
 #include "src/analysis/access_log.h"
-#include "src/analysis/carry_lint.h"
+#include "src/analysis/carry_state.h"
 #include "src/analysis/diagnostic.h"
 #include "src/common/flat_map.h"
 #include "src/common/graph.h"
@@ -65,14 +65,15 @@ struct VerifierConfig {
   // Audit-group parallelism for ReExec: 0 = one thread per hardware thread,
   // 1 = the serial path (the determinism oracle), N = N worker threads.
   unsigned threads = 1;
-  // Run the cross-epoch static model check (KAR-SEG rules,
-  // src/analysis/carry_lint.h) as a fast-reject pre-screen inside each fed
-  // epoch, before that epoch's re-execution. Only segment-fed audits
-  // (AuditSession, RunShardAudit) consult it: Verifier::Audit's single final
-  // epoch has no cross-epoch state to check, so it never pre-screens. Off
-  // switches to the purely dynamic path; the verdict is identical either way
-  // (the pre-screen only ever rejects advice the dynamic checks would also
-  // reject).
+  // Run the cross-epoch static rules (KAR-SEG-004..009,
+  // src/analysis/carry_state.h) as a fast-reject pre-screen inside each fed
+  // epoch, before that epoch's re-execution, and at StreamFinish. Only
+  // segment-fed audits (AuditSession, RunShardAudit) consult it:
+  // Verifier::Audit's single final epoch has no cross-epoch state to check,
+  // so it never pre-screens. The flag gates the rules, not the state: the
+  // carry state folds every epoch either way, so a checkpoint saved with one
+  // setting resumes under the other. The verdict is identical either way (the
+  // pre-screen only ever rejects advice the dynamic checks would also reject).
   bool prescreen = true;
 };
 
@@ -239,8 +240,8 @@ class Verifier {
   //
   // StreamBegin, then StreamEpoch once per epoch, then StreamFinish. Each
   // epoch runs the slice-local preprocess passes and re-executes the epoch's
-  // groups. After a non-final epoch, StreamEndEpoch folds the slice into
-  // compact carried state and drops the per-epoch structures, so later epochs
+  // groups. After a non-final epoch, StreamEndEpoch folds the slice into the
+  // carry state (carry_) and drops the per-epoch structures, so later epochs
   // resolve cross-epoch references through the carries. Globally-scoped
   // checks (write-order lint, import confirmation, isolation, internal-state
   // edges, the graph cycle check) run once at StreamFinish, which assembles
@@ -251,31 +252,8 @@ class Verifier {
   // slice indices live into StreamFinish, and runs the write-order lint in
   // the epoch's lint slot, so a rejected audit carries every lint finding.
 
-  // Carried view of a completed epoch's PUT (everything any later consumer —
-  // GET feed, WR edge, write-order lint, isolation extraction — can ask for).
-  struct PutCarry {
-    std::string key;
-    Value value;
-    HandlerId hid = 0;
-    OpNum opnum = 0;
-  };
-  // Carried view of a var-log entry. Reads drop their value: no consumer ever
-  // feeds from a read entry, and keeping read values resident would make the
-  // carry as large as the advice itself.
-  struct VarCarry {
-    bool is_write = false;
-    Value value;
-  };
-  // Resolution of a variable-log coordinate across epoch boundaries. `value`
-  // is null for carried reads (see VarCarry); it is always set for writes.
-  struct ResolvedVarEntry {
-    bool present = false;
-    bool is_write = false;
-    const Value* value = nullptr;
-  };
-
   // Resolve a transaction-log / var-log coordinate: current slice first, then
-  // carried state from completed epochs, then forward continuity imports.
+  // the carry state (completed epochs, then forward continuity imports).
   ResolvedTxOp ResolveTxOp(const TxOpRef& ref) const;
   ResolvedVarEntry ResolveVarEntry(VarId vid, const OpRef& op) const;
 
@@ -287,26 +265,27 @@ class Verifier {
   // targeting foreign-owned requests are exported for the merge to confirm
   // instead of being confirmed (impossibly) against local carries.
   void SetShardScope(const std::set<RequestId>* owned) { shard_rids_ = owned; }
-  // True when a shard scope is set and `rid` is an in-trace request owned by
-  // another shard. Mirrors CarryLint::ForeignTarget.
-  bool ForeignRid(RequestId rid) const {
-    return shard_rids_ != nullptr && rid != kInitRequestId && shard_rids_->count(rid) == 0 &&
-           trace_rids_.count(rid) != 0;
-  }
+  // The trace rids seen so far plus the shard scope, as the carry state's
+  // checks and ShardAudit's exports consult them (RidScope::Foreign).
+  RidScope rid_scope() const { return RidScope{&trace_rids_, shard_rids_}; }
+  // Epochs fed so far == index of the next epoch. Every fed segment is folded
+  // into the carry state; only Audit()'s final epoch is not.
+  uint64_t epochs_fed() const { return carry_.epochs() + (final_epoch_fed_ ? 1 : 0); }
 
   void StreamBegin(uint64_t epoch_requests);
   // Feeds a segment as a non-final epoch (AuditSession, ShardAudit).
   void StreamEpoch(const EpochSegment& segment);
   // The epoch body, over caller-owned window, advice slice and imports.
-  // `segment` is the segment they alias when one is fed (it drives the
-  // pre-screen and the end-of-epoch fold); nullptr marks the final epoch
-  // Audit() feeds, whose slice stays live until StreamFinish.
+  // `segment` is the segment they alias when one is fed (the end-of-epoch
+  // fold consumes it); nullptr marks the final epoch Audit() feeds, whose
+  // slice stays live until StreamFinish.
   void StreamEpoch(const std::vector<TraceEvent>& window, const Advice& advice,
                    const ContinuityImports& imports, const EpochSegment* segment);
   AuditResult StreamFinish();
   void StreamIngestWindow(const std::vector<TraceEvent>& window);
   void StreamEndEpoch(const EpochSegment& segment);
-  void StreamConfirmImports();
+  // Throws the first error-severity finding in diagnostics_[first..].
+  void ThrowFirstError(size_t first) const;
   size_t MeasureResidentBytes(const EpochSegment& segment) const;
 
   // The canonical handler-matching order shared with the server: global
@@ -376,14 +355,13 @@ class Verifier {
   AuditProfile profile_;
 
   // --- Cross-epoch state ----------------------------------------------------
-  // All cross-epoch containers are std::map/std::set: their sorted iteration
-  // order is the checkpoint wire format, which must be canonical.
+  // All cross-epoch state serializes in sorted order (std::map/std::set here,
+  // sorted keys inside CarryState): the checkpoint must be canonical.
   bool init_done_ = false;
-  // Set once Audit()'s final epoch is fed: StreamFinish then skips the
-  // write-order lint, which that epoch already ran.
+  // Set once Audit()'s final epoch is fed: StreamFinish then skips the carry
+  // state's finish checks (that epoch ran the write-order lint beside its
+  // slice lint, and folded nothing).
   bool final_epoch_fed_ = false;
-  uint64_t epoch_requests_ = 0;
-  uint64_t epochs_fed_ = 0;
   // A rejection raised mid-stream; the verdict is still only assembled at
   // StreamFinish (later segments are drained without further work).
   bool decided_ = false;
@@ -401,20 +379,11 @@ class Verifier {
   bool tp_have_epoch_ = false;
   NodeKey tp_current_epoch_{};
   std::vector<RequestId> tp_pending_responses_;
-  // The alleged global write order, concatenated from per-epoch chunks.
-  WriteOrder stream_write_order_;
-  // Carried state from completed epochs (everything later epochs or the
-  // Finish-time global checks can reference).
-  std::map<TxnKey, uint32_t> txn_size_carry_;
-  std::map<TxOpRef, PutCarry> put_carry_;
-  std::map<std::pair<VarId, OpRef>, VarCarry> var_carry_;
-  // Forward continuity imports, trusted provisionally during the stream and
-  // confirmed against the carries at Finish.
-  std::map<TxOpRef, ContinuityImports::TxOpImport> pending_tx_imports_;
-  std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport> pending_var_imports_;
-  // The fast-reject pre-screen (config_.prescreen): cross-epoch static rules
-  // run per epoch before re-execution, sharing the session checkpoint.
-  CarryLint carry_lint_;
+  // Everything completed epochs left for later ones: transaction shapes, PUT
+  // and var-log carries, pending continuity imports (trusted provisionally,
+  // confirmed at Finish), the concatenated write order, and the claim tables
+  // the pre-screen's rules read (config_.prescreen).
+  CarryState carry_;
   // var_dict entries dropped by per-epoch pruning, so the final
   // stats.var_dict_entries does not depend on the epoch size.
   size_t var_dict_entries_pruned_ = 0;

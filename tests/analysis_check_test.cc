@@ -2,8 +2,8 @@
 // rejected under its own rule, clean streams must check clean at every epoch
 // size, the fast-reject pre-screen must stop a poisoned stream at the epoch
 // where the defect lands, prescreen on/off must be verdict-identical on
-// honest runs, and the pre-screen's carry state must survive a checkpoint
-// round trip.
+// honest runs, checker and audit must agree diagnostic for diagnostic, and
+// the carry state must survive a checkpoint round trip.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -16,6 +16,7 @@
 #include "src/audit/stream.h"
 #include "src/verifier/session.h"
 #include "src/workload/workload.h"
+#include "tests/support/kseg_mutate.h"
 
 namespace karousos {
 namespace {
@@ -73,12 +74,21 @@ TEST_P(SegRuleFixture, CheckerReportsThePlantedRule) {
 
   // The full audit must reject too, and where it names a rule it must be the
   // same one — the pre-screen fires before any replay could decide otherwise.
+  // Checker and audit run the same rules over the same carry state, so where
+  // the audit names a rule they also agree on the reason and on every
+  // diagnostic.
   StreamAuditResult audited =
       AuditSegments(MakeStacksApp(), trace_bytes, advice_bytes,
                     VerifierConfig{IsolationLevel::kSerializable, 1}, kFixtureEpochSize);
   EXPECT_FALSE(audited.audit.accepted) << "audit accepted the " << rule << " fixture";
   if (!audited.audit.rule.empty()) {
     EXPECT_EQ(audited.audit.rule, rule) << audited.audit.reason;
+    EXPECT_EQ(audited.audit.reason, check.reason);
+    ASSERT_EQ(audited.audit.diagnostics.size(), check.diagnostics.size());
+    for (size_t i = 0; i < check.diagnostics.size(); ++i) {
+      EXPECT_EQ(audited.audit.diagnostics[i].Format(), check.diagnostics[i].Format())
+          << "diagnostic " << i;
+    }
   }
 }
 
@@ -171,33 +181,86 @@ TEST(SegmentCheckTest, FastRejectDecidesAtThePoisonedEpoch) {
 
 // --- Checkpoint round trip --------------------------------------------------
 
-// The pre-screen's cross-epoch state must survive SaveCheckpoint/Restore: a
-// claim first made in epoch 0 must still be remembered by the restored
-// session when a later epoch re-claims it.
-TEST(SegmentCheckTest, CheckpointPreservesCarriedClaims) {
-  HonestRun run = RunStacks();
-  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
-  ASSERT_GE(slices.segments.size(), 4u);
-  const size_t last = slices.segments.size() - 1;
-  ASSERT_FALSE(slices.segments[0].advice.opcounts.empty());
-  slices.segments[last].advice.opcounts.insert(*slices.segments[0].advice.opcounts.begin());
+// The carried state the pre-screen reads must survive SaveCheckpoint/Restore:
+// a defect whose evidence straddles the restore point must still reject under
+// its rule in the restored session.
+struct CarriedDefect {
+  std::string name;
+  EpochSlices slices;
+  size_t restore_after = 0;  // Epochs fed before the checkpoint.
+  const char* rule = nullptr;
+};
 
-  VerifierConfig config{IsolationLevel::kSerializable, 1};
-  AuditSession session(*run.app.program, config, 7);
-  EXPECT_TRUE(session.FeedEpoch(slices.segments[0]));
-  EXPECT_TRUE(session.FeedEpoch(slices.segments[1]));
-  std::string error;
-  auto restored =
-      AuditSession::Restore(*run.app.program, config, session.SaveCheckpoint(), &error);
-  ASSERT_NE(restored, nullptr) << error;
-  for (size_t i = 2; i <= last; ++i) {
-    if (!restored->FeedEpoch(slices.segments[i])) {
-      break;
+std::vector<CarriedDefect> CarriedDefects(const HonestRun& run) {
+  std::vector<CarriedDefect> out;
+
+  // A claim first made in epoch 0, re-declared by the last epoch: the restored
+  // session must remember the opcount table.
+  CarriedDefect redeclared{"opcount-redeclared", SliceRun(run.server.trace, run.server.advice, 7),
+                           2, kKarSeg005};
+  std::vector<EpochSegment>& segments = redeclared.slices.segments;
+  EXPECT_GE(segments.size(), 4u);
+  EXPECT_FALSE(segments[0].advice.opcounts.empty());
+  segments.back().advice.opcounts.insert(*segments[0].advice.opcounts.begin());
+  out.push_back(std::move(redeclared));
+
+  // A lying forward import (the fuzz corpus's tampered var-import value),
+  // restored between the epoch that registered it and the epoch it points
+  // at: the restored session must still hold the import and the epoch that
+  // registered it, and reject when the target arrives. Some tampered values
+  // are consumed (and rejected) by their own epoch's replay; the first whose
+  // registering epochs replay clean is the one that needs the carry.
+  for (const KsegMutation& m : BuildMutationCorpus(run.server.trace, run.server.advice, 7)) {
+    if (m.name.rfind("slice:tamper-var-import[", 0) != 0) {
+      continue;
+    }
+    SegmentLoadResult load = LoadSegmentStreams(m.trace_bytes, m.advice_bytes, 7);
+    EXPECT_TRUE(load.ok) << m.name << ": " << load.reason;
+    for (size_t e = 0; e < load.slices.segments.size(); ++e) {
+      for (const auto& imp : load.slices.segments[e].imports.var_entries) {
+        if (imp.value != Value("tampered-import") || EpochOfRid(imp.op.rid, 7) <= e) {
+          continue;
+        }
+        AuditSession probe(*run.app.program, VerifierConfig{IsolationLevel::kSerializable, 1}, 7);
+        bool clean = true;
+        for (size_t i = 0; i <= e && clean; ++i) {
+          clean = probe.FeedEpoch(load.slices.segments[i]);
+        }
+        if (clean) {
+          out.push_back(CarriedDefect{m.name, std::move(load.slices), e + 1, kKarSeg008});
+          return out;
+        }
+      }
     }
   }
-  AuditResult result = restored->Finish();
-  EXPECT_FALSE(result.accepted);
-  EXPECT_EQ(result.rule, kKarSeg005) << result.reason;
+  ADD_FAILURE() << "the mutation corpus has no forward tampered var import";
+  return out;
+}
+
+TEST(SegmentCheckTest, CheckpointPreservesCarriedClaims) {
+  HonestRun run = RunStacks();
+  std::vector<CarriedDefect> defects = CarriedDefects(run);
+  ASSERT_EQ(defects.size(), 2u);
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  for (const CarriedDefect& d : defects) {
+    const std::vector<EpochSegment>& segments = d.slices.segments;
+    AuditSession session(*run.app.program, config, 7);
+    for (size_t i = 0; i < d.restore_after; ++i) {
+      EXPECT_TRUE(session.FeedEpoch(segments[i])) << d.name << " epoch " << i;
+    }
+    std::string error;
+    auto restored =
+        AuditSession::Restore(*run.app.program, config, session.SaveCheckpoint(), &error);
+    ASSERT_NE(restored, nullptr) << d.name << ": " << error;
+    for (size_t i = d.restore_after; i < segments.size(); ++i) {
+      if (!restored->FeedEpoch(segments[i])) {
+        break;
+      }
+    }
+    AuditResult result = restored->Finish();
+    EXPECT_FALSE(result.accepted) << d.name;
+    EXPECT_EQ(result.rule, d.rule) << d.name << ": " << result.reason;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "src/audit/audit.h"
 #include "src/audit/stream.h"
+#include "src/common/segment.h"
 #include "src/kem/varid.h"
 #include "src/verifier/session.h"
 #include "src/workload/workload.h"
@@ -253,6 +254,10 @@ TEST(EpochEquivalenceTest, UnbalancedTraceMissingResponse) {
 
 // --- Checkpoint / resume ---------------------------------------------------
 
+// The pre-screen setting may differ between the checkpointing process and the
+// resuming one (`audit --no-prescreen --checkpoint F`, then `audit --resume
+// F`): the flag gates the static rules, not the carried state, so every
+// combination must reach the one-shot verdict.
 TEST(EpochCheckpointTest, ResumeFromMidStreamReachesTheSameVerdict) {
   HonestRun run = RunApp("stacks", 60);
   AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
@@ -260,26 +265,36 @@ TEST(EpochCheckpointTest, ResumeFromMidStreamReachesTheSameVerdict) {
   ASSERT_TRUE(oneshot.accepted) << oneshot.reason;
 
   const uint64_t kEpochSize = 7;
-  VerifierConfig config{IsolationLevel::kSerializable, 1};
   EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kEpochSize);
   ASSERT_GE(slices.segments.size(), 4u);
-
-  AuditSession first(*run.app.program, config, kEpochSize);
   size_t half = slices.segments.size() / 2;
-  for (size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE(first.FeedEpoch(slices.segments[i]));
-  }
-  std::vector<uint8_t> checkpoint = first.SaveCheckpoint();
-  // `first` is abandoned here — the process-kill in the resume story.
 
-  std::string error;
-  auto resumed = AuditSession::Restore(*run.app.program, config, checkpoint, &error);
-  ASSERT_NE(resumed, nullptr) << error;
-  EXPECT_EQ(resumed->next_epoch(), half);
-  EXPECT_EQ(resumed->epoch_requests(), kEpochSize);
-  FeedRemaining(resumed.get(), slices);
-  AuditResult finished = resumed->Finish();
-  ExpectSameOutcome(oneshot, finished, "resumed");
+  for (bool save_prescreen : {true, false}) {
+    for (bool restore_prescreen : {true, false}) {
+      std::string context = std::string("prescreen at save ") + (save_prescreen ? "on" : "off") +
+                            ", at restore " + (restore_prescreen ? "on" : "off");
+      VerifierConfig save_config{IsolationLevel::kSerializable, 1};
+      save_config.prescreen = save_prescreen;
+      VerifierConfig restore_config = save_config;
+      restore_config.prescreen = restore_prescreen;
+
+      AuditSession first(*run.app.program, save_config, kEpochSize);
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(first.FeedEpoch(slices.segments[i])) << context;
+      }
+      std::vector<uint8_t> checkpoint = first.SaveCheckpoint();
+      // `first` is abandoned here — the process-kill in the resume story.
+
+      std::string error;
+      auto resumed = AuditSession::Restore(*run.app.program, restore_config, checkpoint, &error);
+      ASSERT_NE(resumed, nullptr) << context << ": " << error;
+      EXPECT_EQ(resumed->next_epoch(), half) << context;
+      EXPECT_EQ(resumed->epoch_requests(), kEpochSize) << context;
+      FeedRemaining(resumed.get(), slices);
+      AuditResult finished = resumed->Finish();
+      ExpectSameOutcome(oneshot, finished, context);
+    }
+  }
 }
 
 TEST(EpochCheckpointTest, CheckpointAfterEveryEpochStillMatches) {
@@ -328,6 +343,21 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
   error.clear();
   EXPECT_EQ(AuditSession::Restore(*run.app.program, config, truncated, &error), nullptr);
   EXPECT_FALSE(error.empty());
+
+  // A well-framed checkpoint in the previous layout (version 2) is refused by
+  // version, not misparsed.
+  std::string open_error;
+  auto reader = SegmentReader::FromBytes(checkpoint.data(), checkpoint.size(), &open_error);
+  ASSERT_NE(reader, nullptr) << open_error;
+  SegmentRecord record;
+  ASSERT_TRUE(reader->Next(&record));
+  ASSERT_FALSE(record.payload.empty());
+  record.payload[0] = 2;  // The version varint leads the payload.
+  SegmentWriter stale;
+  stale.Append(SegmentKind::kCheckpoint, record.epoch, record.payload);
+  error.clear();
+  EXPECT_EQ(AuditSession::Restore(*run.app.program, config, stale.bytes(), &error), nullptr);
+  EXPECT_EQ(error, "checkpoint: unsupported version 2");
 }
 
 TEST(EpochCheckpointTest, RestoreRefusesIsolationMismatch) {

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/carry_lint.h"
+#include "src/analysis/carry_state.h"
 #include "src/audit/audit.h"
 #include "src/kem/varid.h"
 #include "src/server/shard.h"
