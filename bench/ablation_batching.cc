@@ -16,10 +16,6 @@
 namespace karousos {
 namespace {
 
-AppSpec MakeApp(const std::string& name) {
-  return name == "motd" ? MakeMotdApp() : name == "stacks" ? MakeStacksApp() : MakeWikiApp();
-}
-
 double Now() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
       .count();
@@ -48,7 +44,7 @@ void RunAblation(const std::string& app_name, WorkloadKind kind) {
     };
     Sample samples[3];
     for (int strategy = 0; strategy < 3; ++strategy) {
-      AppSpec app = MakeApp(app_name);
+      AppSpec app = MakeAppByName(app_name).value();
       ServerConfig config;
       config.mode = strategy == 1 ? CollectMode::kOrochi : CollectMode::kKarousos;
       config.concurrency = concurrency;

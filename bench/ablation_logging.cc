@@ -15,10 +15,6 @@
 namespace karousos {
 namespace {
 
-AppSpec MakeApp(const std::string& name) {
-  return name == "motd" ? MakeMotdApp() : name == "stacks" ? MakeStacksApp() : MakeWikiApp();
-}
-
 void RunAblation(const std::string& app_name, WorkloadKind kind, int concurrency) {
   WorkloadConfig wl;
   wl.app = app_name;
@@ -32,7 +28,7 @@ void RunAblation(const std::string& app_name, WorkloadKind kind, int concurrency
   size_t total_bytes[2];
   size_t accesses = 0;
   for (int policy = 0; policy < 2; ++policy) {
-    AppSpec app = MakeApp(app_name);
+    AppSpec app = MakeAppByName(app_name).value();
     ServerConfig config;
     config.mode = policy == 0 ? CollectMode::kKarousos : CollectMode::kOrochi;
     config.concurrency = concurrency;

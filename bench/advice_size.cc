@@ -87,16 +87,6 @@ double MedianOf(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  return MakeAuctionApp();
-}
-
 // Decodes every frame of both streams (the verifier's read path, isolated
 // from replay); returns false on any undecodable frame.
 bool DecodeStreams(const std::vector<uint8_t>& trace_bytes,
@@ -151,7 +141,7 @@ int Main(int argc, char** argv) {
   std::vector<Row> rows;
   int bugs = 0;
   for (const BenchApp& spec : kApps) {
-    AppSpec app = MakeApp(spec.name);
+    AppSpec app = MakeAppByName(spec.name).value();
     WorkloadConfig wl;
     wl.app = spec.name;
     wl.kind = spec.kind;

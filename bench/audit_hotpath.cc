@@ -42,16 +42,6 @@ struct Row {
   double baseline_seconds = 0;  // 0 = no baseline row matched.
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeWikiApp();
-}
-
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   return xs[xs.size() / 2];
@@ -121,7 +111,7 @@ int Main(int argc, char** argv) {
     wl.connections = 15;
     std::vector<Value> inputs = GenerateWorkload(wl);
 
-    AppSpec app = MakeApp(name);
+    AppSpec app = MakeAppByName(name).value();
     ServerConfig config;
     config.concurrency = 15;
     config.seed = 7;
@@ -138,7 +128,7 @@ int Main(int argc, char** argv) {
       double median = 0;
       std::vector<AuditResult> reps;
       for (int rep = 0; rep < kReps; ++rep) {
-        AppSpec fresh = MakeApp(name);
+        AppSpec fresh = MakeAppByName(name).value();
         AuditResult audit = AuditOnly(fresh, run.trace, run.advice,
                                       VerifierConfig{IsolationLevel::kSerializable, threads});
         if (!audit.accepted) {

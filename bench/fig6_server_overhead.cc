@@ -58,16 +58,6 @@ struct BenchSpec {
   WorkloadKind kind;
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeWikiApp();
-}
-
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   return xs[xs.size() / 2];
@@ -125,7 +115,7 @@ ModeStats RunMode(const BenchSpec& spec, CollectMode mode, int concurrency, size
   std::vector<double> times;
   std::vector<double> latencies;
   for (int rep = 0; rep < reps; ++rep) {
-    AppSpec app = MakeApp(spec.app);
+    AppSpec app = MakeAppByName(spec.app).value();
     ServerConfig config;
     config.mode = mode;
     config.concurrency = concurrency;

@@ -28,16 +28,6 @@ struct Row {
   double speedup = 1.0;
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeWikiApp();
-}
-
 double Now() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
       .count();
@@ -81,7 +71,7 @@ int Main(int argc, char** argv) {
     wl.connections = 15;  // Many interleavings -> many distinct groups.
     std::vector<Value> inputs = GenerateWorkload(wl);
 
-    AppSpec app = MakeApp(name);
+    AppSpec app = MakeAppByName(name).value();
     ServerConfig config;
     config.concurrency = 15;
     config.seed = 7;
@@ -96,7 +86,7 @@ int Main(int argc, char** argv) {
       std::vector<double> times;
       AuditResult audit;
       for (int rep = 0; rep < kReps; ++rep) {
-        AppSpec fresh = MakeApp(name);
+        AppSpec fresh = MakeAppByName(name).value();
         double t0 = Now();
         audit = AuditOnly(fresh, run.trace, run.advice,
                           VerifierConfig{IsolationLevel::kSerializable, threads});

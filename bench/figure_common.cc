@@ -14,26 +14,6 @@ namespace karousos {
 
 namespace {
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "wiki") {
-    return MakeWikiApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  if (name == "mixed") {
-    return MakeMixedApp();
-  }
-  std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
-  std::abort();
-}
-
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   return xs[xs.size() / 2];
@@ -57,7 +37,7 @@ std::vector<Value> Inputs(const FigureSpec& spec, const FigureOptions& options, 
 
 ServerRunResult RunServer(const FigureSpec& spec, const FigureOptions& options, int concurrency,
                           CollectMode mode, size_t warmup) {
-  AppSpec app = MakeApp(spec.app);
+  AppSpec app = MakeAppByName(spec.app).value();
   ServerConfig config;
   config.mode = mode;
   config.concurrency = concurrency;
@@ -116,7 +96,7 @@ void PrintVerification(const FigureSpec& spec, const FigureOptions& options) {
     size_t o_groups = 0;
     for (int rep = 0; rep < options.reps; ++rep) {
       {
-        AppSpec app = MakeApp(spec.app);
+        AppSpec app = MakeAppByName(spec.app).value();
         double t0 = Now();
         AuditResult audit =
             AuditOnly(app, karousos_run.trace, karousos_run.advice, IsolationLevel::kSerializable);
@@ -128,7 +108,7 @@ void PrintVerification(const FigureSpec& spec, const FigureOptions& options) {
         }
       }
       {
-        AppSpec app = MakeApp(spec.app);
+        AppSpec app = MakeAppByName(spec.app).value();
         double t0 = Now();
         AuditResult audit =
             AuditOnly(app, karousos_run.trace, karousos_run.advice,
@@ -140,7 +120,7 @@ void PrintVerification(const FigureSpec& spec, const FigureOptions& options) {
         }
       }
       {
-        AppSpec app = MakeApp(spec.app);
+        AppSpec app = MakeAppByName(spec.app).value();
         double t0 = Now();
         AuditResult audit =
             AuditOnly(app, orochi_run.trace, orochi_run.advice, IsolationLevel::kSerializable);
@@ -152,7 +132,7 @@ void PrintVerification(const FigureSpec& spec, const FigureOptions& options) {
         }
       }
       {
-        AppSpec app = MakeApp(spec.app);
+        AppSpec app = MakeAppByName(spec.app).value();
         double t0 = Now();
         SequentialReplay(app, karousos_run.trace);
         s_times.push_back(Now() - t0);

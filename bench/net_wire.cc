@@ -46,16 +46,6 @@ struct Row {
   double wire_record_overhead = 0;  // wire_off_rps / wire_rps (1.0 = free).
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  return MakeMotdApp();
-}
-
 double MedianOf(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -87,7 +77,7 @@ struct OneRun {
 OneRun MeasureOnce(const char* name, const OpenLoopWorkload& workload, size_t workers,
                    size_t connections, size_t requests, CollectMode mode, size_t pipeline) {
   OneRun out;
-  AppSpec app = MakeApp(name);
+  AppSpec app = MakeAppByName(name).value();
   WireServerConfig wc;
   wc.listen = UniqueSocketPath(name);
   wc.workers = workers;
@@ -266,7 +256,7 @@ int Main(int argc, char** argv) {
   size_t slow_peak = 0;
   uint64_t slow_read_disables = 0;
   {
-    AppSpec app = MakeApp("motd");
+    AppSpec app = MakeMotdApp();
     WireServerConfig wc;
     wc.listen = UniqueSocketPath("slow");
     wc.workers = 1;

@@ -11,8 +11,9 @@ namespace karousos {
 namespace {
 
 // Walks a (trace, advice) container pair in lockstep, yielding one decoded
-// EpochSegment per epoch. Owns the file-layer rules: unreadable container
-// (001), frame schema (002), epoch sequencing (003), stream pairing (010).
+// EpochSegment per epoch. Owns the stream pair's container rules, unreadable
+// container (001) and stream pairing (010); each frame goes through the one
+// epoch-frame reader (ReadEpochFrame: kind and payload 002, sequencing 003).
 class PairedSegmentCursor {
  public:
   PairedSegmentCursor(const std::vector<uint8_t>& trace_bytes,
@@ -58,44 +59,15 @@ class PairedSegmentCursor {
                   diags);
     }
     frames_ += 2;
-    if (trace_rec.kind != SegmentKind::kTrace) {
-      return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
-                  std::string("unexpected ") + SegmentKindName(trace_rec.kind) +
-                      " frame in the trace stream",
-                  diags);
+    std::optional<LintDiagnostic> finding =
+        ReadEpochFrame(trace_rec, SegmentKind::kTrace, next_epoch_, "trace", out);
+    if (!finding) {
+      finding = ReadEpochFrame(advice_rec, SegmentKind::kAdvice, next_epoch_, "advice", out);
     }
-    if (advice_rec.kind != SegmentKind::kAdvice) {
-      return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
-                  std::string("unexpected ") + SegmentKindName(advice_rec.kind) +
-                      " frame in the advice stream",
-                  diags);
+    if (finding) {
+      diags->push_back(std::move(*finding));
+      return -1;
     }
-    if (trace_rec.epoch != next_epoch_) {
-      return Fail(kKarSeg003, FrameLoc("trace", trace_rec),
-                  SequencingMessage(trace_rec.epoch), diags);
-    }
-    if (advice_rec.epoch != next_epoch_) {
-      return Fail(kKarSeg003, FrameLoc("advice", advice_rec),
-                  SequencingMessage(advice_rec.epoch), diags);
-    }
-    auto window = DecodeTraceSegmentPayload(trace_rec.payload, trace_rec.flags);
-    if (!window) {
-      return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
-                  "trace segment payload for epoch " + std::to_string(trace_rec.epoch) +
-                      " is malformed",
-                  diags);
-    }
-    auto advice_payload = DecodeAdviceSegmentPayload(advice_rec.payload, advice_rec.flags);
-    if (!advice_payload) {
-      return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
-                  "advice segment payload for epoch " + std::to_string(advice_rec.epoch) +
-                      " is malformed",
-                  diags);
-    }
-    out->epoch = next_epoch_;
-    out->window = std::move(*window);
-    out->advice = std::move(advice_payload->advice);
-    out->imports = std::move(advice_payload->imports);
     ++next_epoch_;
     return 1;
   }
@@ -103,19 +75,6 @@ class PairedSegmentCursor {
   uint64_t frames() const { return frames_; }
 
  private:
-  static std::string FrameLoc(const char* stream, const SegmentRecord& rec) {
-    return std::string(stream) + "[offset " + std::to_string(rec.offset) + "]";
-  }
-
-  std::string SequencingMessage(uint64_t got) const {
-    if (got < next_epoch_) {
-      return "duplicate or out-of-order frame for epoch " + std::to_string(got) +
-             " (expected epoch " + std::to_string(next_epoch_) + ")";
-    }
-    return "epoch gap: frame for epoch " + std::to_string(got) + " (expected epoch " +
-           std::to_string(next_epoch_) + ")";
-  }
-
   static int Fail(const char* rule, std::string location, std::string message,
                   std::vector<LintDiagnostic>* diags) {
     diags->push_back(

@@ -9,8 +9,10 @@
 // full audit with the same first rule, and the session's fast-reject
 // pre-screen is this same pass, so statically-rejectable advice never reaches
 // ReExec. What the checker skips is re-execution, not state: it holds the
-// same value-carrying carries the session holds. The container walk (PairedSegmentCursor inside check.cc) owns the
-// file-layer rules KAR-SEG-001..003 and 010 and is shared with
+// same value-carrying carries the session holds. The container walk
+// (PairedSegmentCursor inside check.cc) owns the stream pair's rules
+// KAR-SEG-001 and 010, reads each frame through the shared epoch-frame reader
+// (ReadEpochFrame in src/server/rollover.h: 002 and 003), and is shared with
 // LoadSegmentStreams, the audit path's segment-container front end.
 #ifndef SRC_ANALYSIS_CHECK_H_
 #define SRC_ANALYSIS_CHECK_H_

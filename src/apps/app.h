@@ -9,7 +9,9 @@
 #define SRC_APPS_APP_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/kem/program.h"
@@ -94,6 +96,10 @@ void InstallAuctionApp(Program& program, std::string request_event,
 // each app keeps its own handler trees (and therefore its own re-execution
 // groups) while sharing one server, one store, and one advice stream.
 AppSpec MakeMixedApp();
+
+// The evaluation apps by name: "motd", "stacks", "wiki", "auction", "mixed".
+// nullopt for any other name; each caller decides what an unknown name means.
+std::optional<AppSpec> MakeAppByName(std::string_view name);
 
 }  // namespace karousos
 

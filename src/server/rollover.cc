@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "src/analysis/carry_state.h"
 #include "src/server/kseg_codec.h"
 
 namespace karousos {
@@ -339,102 +340,94 @@ Advice MergeSlices(EpochSlices&& slices) {
   return out;
 }
 
-std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices) {
-  SegmentWriter writer;
-  // One scratch payload buffer across frames: Clear keeps the capacity, so
-  // only the largest epoch ever allocates.
-  ByteWriter payload;
-  for (const EpochSegment& seg : slices.segments) {
-    payload.Clear();
-    SerializeTraceEvents(seg.window, &payload);
-    writer.Append(SegmentKind::kTrace, seg.epoch, payload.bytes());
-  }
-  return writer.Take();
+uint8_t SegmentFormatVersionFor(const KsegCompression& c) {
+  return c.any() ? kSegmentFormatVersionV2 : kSegmentFormatVersion;
 }
 
-std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices) {
-  SegmentWriter writer;
-  ByteWriter payload;
-  for (const EpochSegment& seg : slices.segments) {
-    payload.Clear();
-    seg.advice.Serialize(&payload);
-    seg.imports.Serialize(&payload);
-    writer.Append(SegmentKind::kAdvice, seg.epoch, payload.bytes());
+void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, const EpochSegment& seg,
+                           const KsegCompression& c, ByteWriter* scratch) {
+  scratch->Clear();
+  const bool compact = c.lanes || c.dict;
+  if (kind == SegmentKind::kTrace) {
+    if (compact) {
+      EncodeCompactTracePayload(seg.window, c, scratch);
+    } else {
+      SerializeTraceEvents(seg.window, scratch);
+    }
+  } else if (compact) {
+    EncodeCompactAdvicePayload(seg.advice, seg.imports, c, scratch);
+  } else {
+    seg.advice.Serialize(scratch);
+    seg.imports.Serialize(scratch);
   }
-  return writer.Take();
+  const uint8_t flags = static_cast<uint8_t>(c.Flags() & ~kFrameFlagBlock);
+  if (c.block) {
+    std::vector<uint8_t> blocked = BlockFrameEncode(scratch->bytes());
+    if (blocked.size() < scratch->size()) {
+      writer->Append(kind, seg.epoch, static_cast<uint8_t>(flags | kFrameFlagBlock), blocked);
+      return;
+    }
+  }
+  writer->Append(kind, seg.epoch, flags, scratch->bytes());
 }
 
 namespace {
 
-// Appends one frame under the storage-class stages: compact transcode when
-// lanes/dict are on, then a per-frame block attempt that keeps whichever form
-// is smaller (dropping the block flag when it loses, so flags always describe
-// the stored bytes).
-template <typename EncodeBody>
-void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, uint64_t epoch,
-                           const KsegCompression& c, ByteWriter* payload,
-                           EncodeBody&& encode_body) {
-  payload->Clear();
-  encode_body(payload);
-  uint8_t flags = static_cast<uint8_t>(c.Flags() & ~kFrameFlagBlock);
-  if (c.block) {
-    std::vector<uint8_t> blocked = BlockFrameEncode(payload->bytes());
-    if (blocked.size() < payload->size()) {
-      writer->Append(kind, epoch, static_cast<uint8_t>(flags | kFrameFlagBlock), blocked);
-      return;
-    }
+std::vector<uint8_t> EncodeStream(const EpochSlices& slices, SegmentKind kind,
+                                  const KsegCompression& c) {
+  SegmentWriter writer(SegmentFormatVersionFor(c));
+  // One scratch payload buffer across frames: Clear keeps the capacity, so
+  // only the largest epoch ever allocates.
+  ByteWriter scratch;
+  for (const EpochSegment& seg : slices.segments) {
+    AppendCompressedFrame(&writer, kind, seg, c, &scratch);
   }
-  writer->Append(kind, epoch, flags, payload->bytes());
+  return writer.Take();
+}
+
+// The payload with the block stage undone: `payload` itself when the stage is
+// off, else the decompressed bytes in *storage; nullptr when they are
+// malformed.
+const std::vector<uint8_t>* Unblock(const std::vector<uint8_t>& payload, const KsegCompression& c,
+                                    std::optional<std::vector<uint8_t>>* storage) {
+  if (!c.block) return &payload;
+  *storage = BlockFrameDecode(payload);
+  return storage->has_value() ? &**storage : nullptr;
 }
 
 }  // namespace
 
 std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c) {
-  if (!c.any()) return EncodeTraceSegments(slices);
-  SegmentWriter writer(kSegmentFormatVersionV2);
-  ByteWriter payload;
-  for (const EpochSegment& seg : slices.segments) {
-    AppendCompressedFrame(&writer, SegmentKind::kTrace, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactTracePayload(seg.window, c, out);
-                            } else {
-                              SerializeTraceEvents(seg.window, out);
-                            }
-                          });
-  }
-  return writer.Take();
+  return EncodeStream(slices, SegmentKind::kTrace, c);
 }
 
 std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices, const KsegCompression& c) {
-  if (!c.any()) return EncodeAdviceSegments(slices);
-  SegmentWriter writer(kSegmentFormatVersionV2);
-  ByteWriter payload;
-  for (const EpochSegment& seg : slices.segments) {
-    AppendCompressedFrame(&writer, SegmentKind::kAdvice, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactAdvicePayload(seg.advice, seg.imports, c, out);
-                            } else {
-                              seg.advice.Serialize(out);
-                              seg.imports.Serialize(out);
-                            }
-                          });
-  }
-  return writer.Take();
+  return EncodeStream(slices, SegmentKind::kAdvice, c);
 }
 
 std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
+    const std::vector<uint8_t>& payload, uint8_t flags) {
+  if ((flags & ~kFrameFlagsKnownMask) != 0) return std::nullopt;
+  const KsegCompression c = KsegCompression::FromFlags(flags);
+  std::optional<std::vector<uint8_t>> unblocked;
+  const std::vector<uint8_t>* body = Unblock(payload, c, &unblocked);
+  if (body == nullptr) return std::nullopt;
+  if (c.lanes || c.dict) return DecodeCompactTracePayload(body->data(), body->size(), c);
+  ByteReader reader(*body);
   auto window = Trace::Deserialize(&reader);
   if (!window || !reader.AtEnd()) return std::nullopt;
   return std::move(window->events);
 }
 
 std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
+    const std::vector<uint8_t>& payload, uint8_t flags) {
+  if ((flags & ~kFrameFlagsKnownMask) != 0) return std::nullopt;
+  const KsegCompression c = KsegCompression::FromFlags(flags);
+  std::optional<std::vector<uint8_t>> unblocked;
+  const std::vector<uint8_t>* body = Unblock(payload, c, &unblocked);
+  if (body == nullptr) return std::nullopt;
+  if (c.lanes || c.dict) return DecodeCompactAdvicePayload(body->data(), body->size(), c);
+  ByteReader reader(*body);
   auto advice = Advice::Deserialize(&reader);
   if (!advice) return std::nullopt;
   auto imports = ContinuityImports::Deserialize(&reader);
@@ -445,40 +438,43 @@ std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
   return out;
 }
 
-std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags) {
-  if ((flags & ~kFrameFlagsKnownMask) != 0) return std::nullopt;
-  if (flags == 0) return DecodeTraceSegmentPayload(payload);
-  const KsegCompression c = KsegCompression::FromFlags(flags);
-  const std::vector<uint8_t>* body = &payload;
-  std::optional<std::vector<uint8_t>> unblocked;
-  if (c.block) {
-    unblocked = BlockFrameDecode(payload);
-    if (!unblocked) return std::nullopt;
-    body = &*unblocked;
+std::optional<LintDiagnostic> ReadEpochFrame(const SegmentRecord& rec, SegmentKind want,
+                                             uint64_t expected_epoch, const char* container,
+                                             EpochSegment* seg) {
+  const auto finding = [&](const char* rule, std::string message) {
+    return LintDiagnostic{rule, LintSeverity::kError,
+                          std::string(container) + "[offset " + std::to_string(rec.offset) + "]",
+                          std::move(message)};
+  };
+  if (rec.kind != want) {
+    return finding(kKarSeg002, std::string("unexpected ") + SegmentKindName(rec.kind) +
+                                   " frame where an epoch's " + SegmentKindName(want) +
+                                   " frame belongs");
   }
-  if (!c.lanes && !c.dict) {
-    return DecodeTraceSegmentPayload(*body);
+  if (rec.epoch != expected_epoch) {
+    const std::string got = std::to_string(rec.epoch);
+    const std::string expected = " (expected epoch " + std::to_string(expected_epoch) + ")";
+    return finding(kKarSeg003, rec.epoch < expected_epoch
+                                   ? "duplicate or out-of-order frame for epoch " + got + expected
+                                   : "epoch gap: frame for epoch " + got + expected);
   }
-  return DecodeCompactTracePayload(body->data(), body->size(), c);
-}
-
-std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags) {
-  if ((flags & ~kFrameFlagsKnownMask) != 0) return std::nullopt;
-  if (flags == 0) return DecodeAdviceSegmentPayload(payload);
-  const KsegCompression c = KsegCompression::FromFlags(flags);
-  const std::vector<uint8_t>* body = &payload;
-  std::optional<std::vector<uint8_t>> unblocked;
-  if (c.block) {
-    unblocked = BlockFrameDecode(payload);
-    if (!unblocked) return std::nullopt;
-    body = &*unblocked;
+  const auto malformed = [&] {
+    return finding(kKarSeg002, std::string(SegmentKindName(want)) +
+                                   " segment payload for epoch " + std::to_string(rec.epoch) +
+                                   " is malformed");
+  };
+  if (want == SegmentKind::kTrace) {
+    auto window = DecodeTraceSegmentPayload(rec.payload, rec.flags);
+    if (!window) return malformed();
+    seg->window = std::move(*window);
+  } else {
+    auto payload = DecodeAdviceSegmentPayload(rec.payload, rec.flags);
+    if (!payload) return malformed();
+    seg->advice = std::move(payload->advice);
+    seg->imports = std::move(payload->imports);
   }
-  if (!c.lanes && !c.dict) {
-    return DecodeAdviceSegmentPayload(*body);
-  }
-  return DecodeCompactAdvicePayload(body->data(), body->size(), c);
+  seg->epoch = expected_epoch;
+  return std::nullopt;
 }
 
 }  // namespace karousos

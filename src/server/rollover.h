@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/analysis/diagnostic.h"
 #include "src/common/kcodec.h"
 #include "src/common/segment.h"
 #include "src/server/advice.h"
@@ -122,37 +123,53 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
 // per-epoch maps in epoch order restores every component's key order.
 Advice MergeSlices(EpochSlices&& slices);
 
-// Segment-container encode/decode. Trace and advice travel as two segment
-// streams (one kTrace frame per epoch; one kAdvice frame per epoch whose
-// payload is the advice slice followed by the imports).
-std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices);
-std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices);
+// The epoch-frame codec: the one encoder and the one reader of the per-epoch
+// KSEG frames, shared by the two-container epoch stream below and the
+// single-container shard file (src/server/shard.h). An epoch travels as a
+// kTrace frame (its window) and a kAdvice frame (its advice slice followed by
+// the continuity imports).
+//
+// Storage-class stages `c` (src/common/kcodec.h) apply per frame and are named
+// in the v2 frame flags: the compact transcode when lanes or dict is on, then
+// the block stage, kept only when it shrinks the frame, so a frame's flags
+// always name exactly the transforms its bytes carry. With no stage set the
+// container is v1 and its bytes are the raw encoding.
+uint8_t SegmentFormatVersionFor(const KsegCompression& c);
 
-// Storage-class variants: apply the requested codec stages per frame and
-// record them in the v2 frame flags. With no stages requested these forward
-// to the raw (v1, byte-identical) encoders above. The block stage is dropped
-// per-frame when it does not shrink the payload, so a frame's flags always
-// name exactly the transforms its bytes carry.
-std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c);
-std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices, const KsegCompression& c);
+// Appends seg's frame of `kind` (kTrace or kAdvice) under the stages `c`.
+// `scratch` is payload storage reused across frames.
+void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, const EpochSegment& seg,
+                           const KsegCompression& c, ByteWriter* scratch);
 
-// Decodes one frame payload. Returns nullopt on malformed payloads (the
-// caller turns that into a clean rejection).
-std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(const std::vector<uint8_t>& payload);
+// The two-container epoch stream: one kTrace frame per epoch in one
+// container, one kAdvice frame per epoch in the other.
+std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c = {});
+std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices,
+                                          const KsegCompression& c = {});
+
+// Decodes one frame payload, undoing the stages named in its flags byte (block
+// first, then the grammar-aware lanes/dict transcoder); flags == 0 is the raw
+// decode. Returns nullopt on malformed payloads and on unknown flag bits (the
+// segment reader already screens them, but the payload decoders never trust
+// their input).
+std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
+    const std::vector<uint8_t>& payload, uint8_t flags = 0);
 struct AdviceSegmentPayload {
   Advice advice;
   ContinuityImports imports;
 };
-std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(const std::vector<uint8_t>& payload);
-
-// Flag-aware variants: undo the stages named in the frame's flags byte
-// (block first, then the grammar-aware lanes/dict transcoder). flags == 0 is
-// exactly the raw decode. Unknown flag bits reject (the segment reader
-// already screens them, but the payload decoders never trust their input).
-std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags);
 std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags);
+    const std::vector<uint8_t>& payload, uint8_t flags = 0);
+
+// The one epoch-frame reader. Checks that `rec` is a frame of kind `want`
+// (KAR-SEG-002) for epoch `expected_epoch` (KAR-SEG-003) and decodes its
+// payload (KAR-SEG-002) into *seg: a kTrace frame fills seg->window, a
+// kAdvice frame seg->advice and seg->imports. A finding is returned, located
+// at "<container>[offset N]"; nullopt means *seg holds the frame. Container
+// rules (unreadable input, pairing, manifests) stay with each caller.
+std::optional<LintDiagnostic> ReadEpochFrame(const SegmentRecord& rec, SegmentKind want,
+                                             uint64_t expected_epoch, const char* container,
+                                             EpochSegment* seg);
 
 }  // namespace karousos
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/analysis/carry_state.h"
-#include "src/server/kseg_codec.h"
 
 namespace karousos {
 
@@ -442,73 +441,16 @@ std::vector<ShardFile> ShardRun(const Trace& trace, const Advice& advice,
   return out;
 }
 
-std::vector<uint8_t> EncodeShardFile(const ShardFile& shard) {
-  SegmentWriter writer;
-  ByteWriter payload;
-  shard.boundary.Serialize(&payload);
-  writer.Append(SegmentKind::kShardBoundary, shard.boundary.shard, payload.bytes());
-  for (const EpochSegment& seg : shard.slices.segments) {
-    payload.Clear();
-    SerializeTraceEvents(seg.window, &payload);
-    writer.Append(SegmentKind::kTrace, seg.epoch, payload.bytes());
-    payload.Clear();
-    seg.advice.Serialize(&payload);
-    seg.imports.Serialize(&payload);
-    writer.Append(SegmentKind::kAdvice, seg.epoch, payload.bytes());
-  }
-  return writer.Take();
-}
-
-namespace {
-
-// Per-frame storage-class encode, mirroring rollover.cc's: compact transcode
-// when lanes/dict are on, then a block attempt that keeps whichever form is
-// smaller (flags always describe the stored bytes).
-template <typename EncodeBody>
-void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, uint64_t epoch,
-                           const KsegCompression& c, ByteWriter* payload,
-                           EncodeBody&& encode_body) {
-  payload->Clear();
-  encode_body(payload);
-  uint8_t flags = static_cast<uint8_t>(c.Flags() & ~kFrameFlagBlock);
-  if (c.block) {
-    std::vector<uint8_t> blocked = BlockFrameEncode(payload->bytes());
-    if (blocked.size() < payload->size()) {
-      writer->Append(kind, epoch, static_cast<uint8_t>(flags | kFrameFlagBlock), blocked);
-      return;
-    }
-  }
-  writer->Append(kind, epoch, flags, payload->bytes());
-}
-
-}  // namespace
-
 std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompression& c) {
-  if (!c.any()) return EncodeShardFile(shard);
-  SegmentWriter writer(kSegmentFormatVersionV2);
-  ByteWriter payload;
-  shard.boundary.Serialize(&payload);
+  SegmentWriter writer(SegmentFormatVersionFor(c));
+  ByteWriter scratch;
+  shard.boundary.Serialize(&scratch);
   // The boundary frame stays raw: the merge reads manifests before anything
   // else and must not depend on payload codecs.
-  writer.Append(SegmentKind::kShardBoundary, shard.boundary.shard, /*flags=*/0, payload.bytes());
+  writer.Append(SegmentKind::kShardBoundary, shard.boundary.shard, scratch.bytes());
   for (const EpochSegment& seg : shard.slices.segments) {
-    AppendCompressedFrame(&writer, SegmentKind::kTrace, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactTracePayload(seg.window, c, out);
-                            } else {
-                              SerializeTraceEvents(seg.window, out);
-                            }
-                          });
-    AppendCompressedFrame(&writer, SegmentKind::kAdvice, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactAdvicePayload(seg.advice, seg.imports, c, out);
-                            } else {
-                              seg.advice.Serialize(out);
-                              seg.imports.Serialize(out);
-                            }
-                          });
+    AppendCompressedFrame(&writer, SegmentKind::kTrace, seg, c, &scratch);
+    AppendCompressedFrame(&writer, SegmentKind::kAdvice, seg, c, &scratch);
   }
   return writer.Take();
 }
@@ -516,8 +458,10 @@ std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompressi
 namespace {
 
 // Loader core. Walks the single-file layout (boundary, then one trace +
-// advice frame pair per epoch), decodes every payload, then validates the
-// boundary manifest against the decoded content.
+// advice frame pair per epoch) through the shared epoch-frame reader, then
+// validates the boundary manifest against the decoded content. Owns the
+// shard file's container rules: unreadable input (001) and the boundary
+// frame and manifest (011).
 class ShardFileLoader {
  public:
   ShardLoadResult Load(std::unique_ptr<SegmentReader> reader, const std::string& open_error) {
@@ -569,20 +513,10 @@ class ShardFileLoader {
         }
         break;
       }
-      if (rec.kind != SegmentKind::kTrace) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    std::string("unexpected ") + SegmentKindName(rec.kind) +
-                        " frame where an epoch's trace frame belongs");
-      }
-      if (rec.epoch != next_epoch) {
-        return fail(kKarSeg003, FrameLoc(rec), SequencingMessage(rec.epoch, next_epoch));
-      }
-      auto window = DecodeTraceSegmentPayload(rec.payload, rec.flags);
-      if (!window) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    "trace segment payload for epoch " + std::to_string(rec.epoch) +
-                        " is malformed");
-      }
+      EpochSegment seg;
+      std::optional<LintDiagnostic> finding =
+          ReadEpochFrame(rec, SegmentKind::kTrace, next_epoch, "shard", &seg);
+      if (finding) return FailWith(&out, std::move(*finding));
       have = reader->Next(&rec);
       if (!have) {
         if (!reader->ok()) {
@@ -593,25 +527,8 @@ class ShardFileLoader {
                     "epoch " + std::to_string(next_epoch) +
                         " has a trace frame but no advice frame");
       }
-      if (rec.kind != SegmentKind::kAdvice) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    std::string("unexpected ") + SegmentKindName(rec.kind) +
-                        " frame where an epoch's advice frame belongs");
-      }
-      if (rec.epoch != next_epoch) {
-        return fail(kKarSeg003, FrameLoc(rec), SequencingMessage(rec.epoch, next_epoch));
-      }
-      auto advice_payload = DecodeAdviceSegmentPayload(rec.payload, rec.flags);
-      if (!advice_payload) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    "advice segment payload for epoch " + std::to_string(rec.epoch) +
-                        " is malformed");
-      }
-      EpochSegment seg;
-      seg.epoch = next_epoch;
-      seg.window = std::move(*window);
-      seg.advice = std::move(advice_payload->advice);
-      seg.imports = std::move(advice_payload->imports);
+      finding = ReadEpochFrame(rec, SegmentKind::kAdvice, next_epoch, "shard", &seg);
+      if (finding) return FailWith(&out, std::move(*finding));
       out.file.slices.segments.push_back(std::move(seg));
       ++next_epoch;
     }
@@ -626,22 +543,18 @@ class ShardFileLoader {
     return "shard[offset " + std::to_string(rec.offset) + "]";
   }
 
-  static std::string SequencingMessage(uint64_t got, uint64_t expected) {
-    if (got < expected) {
-      return "duplicate or out-of-order frame for epoch " + std::to_string(got) +
-             " (expected epoch " + std::to_string(expected) + ")";
-    }
-    return "epoch gap: frame for epoch " + std::to_string(got) + " (expected epoch " +
-           std::to_string(expected) + ")";
-  }
-
   static void Fail(ShardLoadResult* out, const char* rule, std::string location,
                    std::string message) {
-    LintDiagnostic d{rule, LintSeverity::kError, std::move(location), std::move(message)};
+    FailWith(out, LintDiagnostic{rule, LintSeverity::kError, std::move(location),
+                                 std::move(message)});
+  }
+
+  static ShardLoadResult& FailWith(ShardLoadResult* out, LintDiagnostic d) {
     out->ok = false;
-    out->rule = rule;
+    out->rule = d.rule;
     out->reason = "segment stream: " + d.Format();
     out->diagnostics.push_back(std::move(d));
+    return *out;
   }
 
   // Boundary-vs-content validation (KAR-SEG-011). Every allegation in the

@@ -144,18 +144,18 @@ std::vector<ShardFile> ShardRun(const Trace& trace, const Advice& advice,
                                 uint64_t epoch_requests, const ShardSpec& spec);
 
 // Single-file container encode: one kShardBoundary frame (epoch field = shard
-// index), then per epoch a kTrace frame and a kAdvice frame. The storage-class
-// variant compresses the epoch frames exactly like the epoch-stream encoders;
-// the boundary frame always stays raw (the merge must read it before touching
-// any payload codec).
-std::vector<uint8_t> EncodeShardFile(const ShardFile& shard);
-std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompression& c);
+// index), then per epoch a kTrace frame and a kAdvice frame written by the
+// epoch-frame codec the stream encoders use (rollover.h), under the same
+// stages `c`. The boundary frame always stays raw (the merge must read it
+// before touching any payload codec).
+std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompression& c = {});
 
 // Decode + validate one shard file. `ok == false` carries the same
-// reason/rule/diagnostic shape the audit uses: container defects reject under
-// KAR-SEG-001/002/003, boundary defects (frame order, epoch count, position
-// monotonicity/bounds, digest or totals disagreeing with the decoded content)
-// under KAR-SEG-011.
+// reason/rule/diagnostic shape the audit uses: an unreadable container rejects
+// under KAR-SEG-001, an epoch frame under the shared frame reader's
+// KAR-SEG-002/003 (ReadEpochFrame), boundary defects (frame order, epoch
+// count, position monotonicity/bounds, digest or totals disagreeing with the
+// decoded content) under KAR-SEG-011.
 struct ShardLoadResult {
   bool ok = false;
   std::string reason;  // Prefixed ("segment stream: ...") like the audit's.

@@ -18,6 +18,7 @@
 #include "src/server/kseg_codec.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
+#include "src/server/shard.h"
 #include "src/workload/workload.h"
 
 namespace karousos {
@@ -40,19 +41,6 @@ constexpr FixtureSpec kFixtures[] = {
     {"auction90", "auction", WorkloadKind::kAuctionMix, 90, 12, 9},
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  return MakeWikiApp();
-}
-
 ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   WorkloadConfig wl;
   wl.app = spec.app;
@@ -62,7 +50,7 @@ ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   wl.connections = spec.concurrency;
   std::vector<Value> inputs = GenerateWorkload(wl);
 
-  AppSpec app = MakeApp(spec.app);
+  AppSpec app = MakeAppByName(spec.app).value();
   ServerConfig config;
   config.concurrency = spec.concurrency;
   config.seed = 7;
@@ -87,6 +75,13 @@ std::vector<SegmentRecord> WalkFrames(const std::vector<uint8_t>& bytes) {
   return frames;
 }
 
+void ExpectSameFrame(const SegmentRecord& got, const SegmentRecord& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.flags, want.flags);
+  EXPECT_EQ(got.payload, want.payload) << "epoch " << want.epoch;
+}
+
 class KsegCompressTest : public ::testing::TestWithParam<FixtureSpec> {};
 
 // decode(encode(x)) == x, at the byte level of the raw encoding: every stage
@@ -99,6 +94,10 @@ TEST_P(KsegCompressTest, AllStageCombinationsRoundTripByteIdentically) {
 
   const std::vector<SegmentRecord> raw_trace = WalkFrames(EncodeTraceSegments(slices));
   const std::vector<SegmentRecord> raw_advice = WalkFrames(EncodeAdviceSegments(slices));
+  // The K=1 shard file is one more container for the same epoch frames.
+  const std::vector<ShardFile> shards =
+      ShardRun(run.trace, run.advice, spec.epoch_requests, ShardSpec{});
+  ASSERT_EQ(shards.size(), 1u);
 
   for (uint8_t flags = 0; flags <= kFrameFlagsKnownMask; ++flags) {
     const KsegCompression c = KsegCompression::FromFlags(flags);
@@ -134,6 +133,31 @@ TEST_P(KsegCompressTest, AllStageCombinationsRoundTripByteIdentically) {
       decoded->imports.Serialize(&reserialized);
       EXPECT_EQ(reserialized.bytes(), raw_advice[i].payload) << "advice epoch " << rec.epoch;
     }
+
+    // Behind its boundary frame, the shard file interleaves exactly the
+    // stream containers' frames, and loads back to the same slices.
+    const std::vector<uint8_t> shard_bytes = EncodeShardFile(shards[0], c);
+    const std::vector<SegmentRecord> shard_frames = WalkFrames(shard_bytes);
+    ASSERT_EQ(shard_frames.size(), 1 + trace_frames.size() + advice_frames.size());
+    EXPECT_EQ(shard_frames[0].kind, SegmentKind::kShardBoundary);
+    for (size_t i = 0; i < trace_frames.size(); ++i) {
+      ExpectSameFrame(shard_frames[1 + 2 * i], trace_frames[i]);
+      ExpectSameFrame(shard_frames[2 + 2 * i], advice_frames[i]);
+    }
+    ShardLoadResult loaded = LoadShardBytes(shard_bytes);
+    ASSERT_TRUE(loaded.ok) << loaded.reason;
+    ASSERT_EQ(loaded.file.slices.segments.size(), raw_trace.size());
+    for (size_t i = 0; i < raw_trace.size(); ++i) {
+      const EpochSegment& seg = loaded.file.slices.segments[i];
+      EXPECT_EQ(seg.epoch, raw_trace[i].epoch);
+      ByteWriter window;
+      SerializeTraceEvents(seg.window, &window);
+      EXPECT_EQ(window.bytes(), raw_trace[i].payload) << "shard trace epoch " << seg.epoch;
+      ByteWriter advice;
+      seg.advice.Serialize(&advice);
+      seg.imports.Serialize(&advice);
+      EXPECT_EQ(advice.bytes(), raw_advice[i].payload) << "shard advice epoch " << seg.epoch;
+    }
   }
 }
 
@@ -168,7 +192,7 @@ TEST_P(KsegCompressTest, ServerEmissionMatchesSlicerEncoding) {
   wl.connections = spec.concurrency;
   std::vector<Value> inputs = GenerateWorkload(wl);
 
-  AppSpec app = MakeApp(spec.app);
+  AppSpec app = MakeAppByName(spec.app).value();
   ServerConfig config;
   config.concurrency = spec.concurrency;
   config.seed = 7;
@@ -212,7 +236,7 @@ TEST(KsegCompressDifferentialTest, VerdictsMatchRawAcrossMatrix) {
     wl.seed = 7;
     wl.connections = r.concurrency;
     std::vector<Value> inputs = GenerateWorkload(wl);
-    AppSpec app = MakeApp(r.app);
+    AppSpec app = MakeAppByName(r.app).value();
     ServerConfig config;
     config.concurrency = r.concurrency;
     config.seed = 7;

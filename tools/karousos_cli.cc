@@ -308,24 +308,14 @@ std::optional<Args> Parse(int argc, char** argv) {
   return args;
 }
 
+// The named app; an unknown name is a usage error (exit 2).
 AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
+  std::optional<AppSpec> app = MakeAppByName(name);
+  if (!app) {
+    std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
+    std::exit(2);
   }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "wiki") {
-    return MakeWikiApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  if (name == "mixed") {
-    return MakeMixedApp();
-  }
-  std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
-  std::exit(2);
+  return std::move(*app);
 }
 
 KsegCompression ParseCompression(const std::string& s) {
@@ -619,56 +609,41 @@ int CmdAudit(const Args& args) {
     std::fprintf(stderr, "failed to read inputs\n");
     return 1;
   }
-  if (LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes)) {
-    // Segment containers: the container front end file-checks and decodes the
-    // streams, then the session audits epoch by epoch.
-    if (!args.epoch_size_set) {
-      std::fprintf(stderr, "--epoch-size is required for segment containers\n");
-      return 2;
-    }
-    AppSpec app = MakeApp(args.app);
-    VerifierConfig config{ParseIsolation(args.isolation), args.threads};
-    config.prescreen = !args.no_prescreen;
-    StreamAuditResult streamed =
-        AuditSegments(app, *trace_bytes, *advice_bytes, config, args.epoch_size);
-    std::printf("streamed %llu epochs (epoch size %llu), peak resident advice %zu B\n",
-                static_cast<unsigned long long>(streamed.epochs),
-                static_cast<unsigned long long>(args.epoch_size),
-                streamed.peak_resident_advice_bytes);
-    if (args.profile) {
-      std::printf("%s\n", AuditProfileToJson(streamed.audit.profile).c_str());
-    }
-    if (streamed.audit.accepted) {
-      std::printf("ACCEPTED: %zu requests in %zu groups, %zu handler executions, "
-                  "G = %zu nodes / %zu edges\n",
-                  streamed.audit.stats.group_lane_total, streamed.audit.stats.groups,
-                  streamed.audit.stats.handler_executions, streamed.audit.stats.graph_nodes,
-                  streamed.audit.stats.graph_edges);
-      return 0;
-    }
-    std::printf("REJECTED: %s\n", streamed.audit.reason.c_str());
-    return 1;
+  const bool containers =
+      LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes);
+  if (containers && !args.epoch_size_set) {
+    std::fprintf(stderr, "--epoch-size is required for segment containers\n");
+    return 2;
   }
-  ByteReader trace_reader(*trace_bytes);
-  auto trace = Trace::Deserialize(&trace_reader);
-  if (!trace) {
-    std::printf("REJECTED: malformed trace file\n");
-    return 1;
-  }
-  ByteReader advice_reader(*advice_bytes);
-  auto advice = Advice::Deserialize(&advice_reader);
-  if (!advice) {
-    std::printf("REJECTED: malformed advice (server misbehavior)\n");
-    return 1;
+  std::optional<Trace> trace;
+  std::optional<Advice> advice;
+  if (!containers) {
+    ByteReader trace_reader(*trace_bytes);
+    trace = Trace::Deserialize(&trace_reader);
+    if (!trace) {
+      std::printf("REJECTED: malformed trace file\n");
+      return 1;
+    }
+    ByteReader advice_reader(*advice_bytes);
+    advice = Advice::Deserialize(&advice_reader);
+    if (!advice) {
+      std::printf("REJECTED: malformed advice (server misbehavior)\n");
+      return 1;
+    }
+    // The decoded pair is all the audit reads: drop the file bytes.
+    trace_bytes.reset();
+    advice_bytes.reset();
   }
   AppSpec app = MakeApp(args.app);
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
   config.prescreen = !args.no_prescreen;
 
   AuditResult audit;
-  if (args.epoch_size_set || !args.resume_path.empty() || !args.checkpoint_path.empty()) {
-    // Epoch-streamed path: slice the inputs, feed one epoch at a time, and
-    // (optionally) persist the carry state after every epoch.
+  if (containers || args.epoch_size_set || !args.resume_path.empty() ||
+      !args.checkpoint_path.empty()) {
+    // Epoch-streamed path: both inputs become epoch slices (containers are
+    // file-checked and decoded, monolithic files sliced), fed one epoch at a
+    // time with the carry state (optionally) persisted after every epoch.
     std::unique_ptr<AuditSession> session;
     if (!args.resume_path.empty()) {
       auto checkpoint = ReadFile(args.resume_path);
@@ -687,9 +662,22 @@ int CmdAudit(const Args& args) {
     } else {
       session = std::make_unique<AuditSession>(*app.program, config, args.epoch_size);
     }
-    // Resume must re-slice at the checkpoint's epoch size, or epoch indices
+    // Resume must slice at the checkpoint's epoch size, or epoch indices
     // would not line up with the audited prefix.
-    EpochSlices slices = SliceRun(*trace, *advice, session->epoch_requests());
+    EpochSlices slices;
+    if (containers) {
+      SegmentLoadResult load =
+          LoadSegmentStreams(*trace_bytes, *advice_bytes, session->epoch_requests());
+      if (!load.ok) {
+        std::printf("REJECTED: %s\n", load.reason.c_str());
+        return 1;
+      }
+      slices = std::move(load.slices);
+      trace_bytes.reset();
+      advice_bytes.reset();
+    } else {
+      slices = SliceRunOwned(*trace, std::move(*advice), session->epoch_requests());
+    }
     bool checkpoint_failed = false;
     FeedRemaining(session.get(), slices, [&](AuditSession& s) {
       if (!args.checkpoint_path.empty() &&
@@ -761,8 +749,7 @@ int CmdShard(const Args& args) {
   std::error_code ec;
   std::filesystem::create_directories(args.out_dir, ec);
   for (const ShardFile& shard : shards) {
-    std::vector<uint8_t> bytes =
-        comp.any() ? EncodeShardFile(shard, comp) : EncodeShardFile(shard);
+    std::vector<uint8_t> bytes = EncodeShardFile(shard, comp);
     const std::string path =
         args.out_dir + "/shard" + std::to_string(shard.boundary.shard) + ".kseg";
     if (!WriteFile(path, bytes)) {
