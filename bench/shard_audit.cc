@@ -30,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -132,9 +133,14 @@ int Main(int argc, char** argv) {
   const std::string trace = (dir / "trace.bin").string();
   const std::string advice = (dir / "advice.bin").string();
 
+  // The shard step's pools use every hardware thread and the K audit-shard
+  // processes share them, so the wall-clock columns depend on this count.
+  const unsigned hardware_threads = std::max(1u, std::thread::hardware_concurrency());
+
   std::printf("=== Sharded scale-out audit: K processes vs unsharded ===\n");
-  std::printf("(stacks, %zu requests, epoch size %llu, bin %s)\n", kRequests,
-              static_cast<unsigned long long>(kEpochSize), bin.c_str());
+  std::printf("(stacks, %zu requests, epoch size %llu, %u hardware threads, bin %s)\n",
+              kRequests, static_cast<unsigned long long>(kEpochSize), hardware_threads,
+              bin.c_str());
 
   ChildResult serve = RunChild({bin, "serve", "--app", "stacks", "--requests",
                                 std::to_string(kRequests), "--concurrency", "15", "--seed", "7",
@@ -248,12 +254,13 @@ int Main(int argc, char** argv) {
       gate_row ? gate_row->audit_parallel_seconds + gate_row->merge_seconds : 0.0;
   std::fprintf(out,
                "{\n  \"benchmark\": \"shard_audit\",\n  \"app\": \"stacks\",\n"
-               "  \"requests\": %zu,\n  \"epoch_size\": %llu,\n"
+               "  \"requests\": %zu,\n  \"epoch_size\": %llu,\n  \"hardware_threads\": %u,\n"
                "  \"one_shot_peak_rss_mb\": %.2f,\n  \"one_shot_wallclock_s\": %.4f,\n"
                "  \"epoch_stream_peak_rss_mb\": %.2f,\n  \"epoch_stream_wallclock_s\": %.4f,\n"
                "  \"shard_peak_rss_mb\": %.2f,\n  \"shard_wallclock_s\": %.4f,\n"
                "  \"rows\": [\n",
-               kRequests, static_cast<unsigned long long>(kEpochSize), one_shot.max_rss_mb,
+               kRequests, static_cast<unsigned long long>(kEpochSize), hardware_threads,
+               one_shot.max_rss_mb,
                one_shot.seconds, epoch_stream.max_rss_mb, epoch_stream.seconds, gate_rss,
                gate_wall);
   for (size_t i = 0; i < rows.size(); ++i) {

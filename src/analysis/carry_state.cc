@@ -72,6 +72,58 @@ std::vector<K> SortedKeys(const FlatMap<K, V>& map) {
   return keys;
 }
 
+// The resolution carries' per-entry writers, shared by the checkpoint and
+// the running byte count, so the count is exactly what the tables serialize
+// to.
+void WriteCarryEntry(const TxnKey& txn, uint32_t size, ByteWriter* out) {
+  out->WriteVarint(txn.rid);
+  out->WriteVarint(txn.tid);
+  out->WriteVarint(size);
+}
+
+void WriteCarryEntry(const TxOpRef& ref, const CarryState::PutCarry& put, ByteWriter* out) {
+  SerializeTxOpRef(ref, out);
+  out->WriteString(put.key);
+  out->WriteValue(put.value);
+  out->WriteVarint(put.hid);
+  out->WriteVarint(put.opnum);
+}
+
+void WriteCarryEntry(const CarryState::VarKey& key, const CarryState::VarCarry& carry,
+                     ByteWriter* out) {
+  out->WriteVarint(key.first);
+  SerializeOpRef(key.second, out);
+  out->WriteBool(carry.is_write);
+  if (carry.is_write) {
+    out->WriteValue(carry.value);
+  }
+}
+
+template <typename K, typename V>
+size_t CarryEntryBytes(const K& key, const V& value, ByteWriter* scratch) {
+  scratch->Clear();
+  WriteCarryEntry(key, value, scratch);
+  return scratch->size();
+}
+
+// A table's entry bytes, without its size prefix.
+template <typename Table>
+size_t CarryTableBytes(const Table& table, ByteWriter* scratch) {
+  size_t bytes = 0;
+  for (const auto& [key, value] : table) {
+    bytes += CarryEntryBytes(key, value, scratch);
+  }
+  return bytes;
+}
+
+template <typename Table>
+void WriteCarryTable(const Table& table, ByteWriter* out) {
+  out->WriteVarint(table.size());
+  for (const auto& [key, value] : table) {
+    WriteCarryEntry(key, value, out);
+  }
+}
+
 }  // namespace
 
 std::string RejectReasonFor(const LintDiagnostic& d) {
@@ -257,6 +309,16 @@ void CarryState::CheckImports(const Advice& slice, const ContinuityImports& impo
   }
 }
 
+template <typename Table, typename Key, typename Carry>
+void CarryState::SetCarry(Table* table, const Key& key, Carry carry, ByteWriter* scratch) {
+  auto [it, inserted] = table->try_emplace(key);
+  if (!inserted) {
+    resolution_carry_bytes_ -= CarryEntryBytes(it->first, it->second, scratch);
+  }
+  it->second = std::move(carry);
+  resolution_carry_bytes_ += CarryEntryBytes(it->first, it->second, scratch);
+}
+
 void CarryState::Fold(const Advice& slice, const RidScope& scope) {
   for (const auto& [rid, log] : slice.handler_logs) {
     for (const HandlerLogEntry& e : log) {
@@ -265,20 +327,23 @@ void CarryState::Fold(const Advice& slice, const RidScope& scope) {
   }
   // Transaction shapes + PUT payloads, and var-log entries (reads kind-only:
   // nothing ever feeds from a read).
+  ByteWriter scratch;
   for (const auto& [txn, log] : slice.tx_logs) {
-    txn_sizes_[txn] = static_cast<uint32_t>(log.size());
+    SetCarry(&txn_sizes_, txn, static_cast<uint32_t>(log.size()), &scratch);
     for (uint32_t i = 1; i <= log.size(); ++i) {
       const TxOperation& op = log[i - 1];
       claimed_ops_.emplace(OpRef{txn.rid, op.hid, op.opnum}, epochs_);
       if (op.type == TxOpType::kPut) {
-        puts_[TxOpRef{txn.rid, txn.tid, i}] = PutCarry{op.key, op.put_value, op.hid, op.opnum};
+        SetCarry(&puts_, TxOpRef{txn.rid, txn.tid, i},
+                 PutCarry{op.key, op.put_value, op.hid, op.opnum}, &scratch);
       }
     }
   }
   for (const auto& [vid, log] : slice.var_logs) {
     for (const auto& [op, entry] : log) {
       bool is_write = entry.kind == VarLogEntry::Kind::kWrite;
-      vars_[{vid, op}] = VarCarry{is_write, is_write ? entry.value : Value()};
+      SetCarry(&vars_, VarKey{vid, op}, VarCarry{is_write, is_write ? entry.value : Value()},
+               &scratch);
       claimed_ops_.emplace(op, epochs_);
       if (!entry.prec.IsNil() && entry.prec != op) {
         prec_edges_.emplace(VarKey{vid, op}, PrecEdge{entry.prec, epochs_});
@@ -517,42 +582,16 @@ std::string CarryState::ConfirmImports(const RidScope& scope) const {
   return "";
 }
 
-void CarryState::WriteResolutionCarries(ByteWriter* out, bool counted) const {
-  if (counted) {
-    out->WriteVarint(txn_sizes_.size());
-  }
-  for (const auto& [txn, size] : txn_sizes_) {
-    out->WriteVarint(txn.rid);
-    out->WriteVarint(txn.tid);
-    out->WriteVarint(size);
-  }
-  if (counted) {
-    out->WriteVarint(puts_.size());
-  }
-  for (const auto& [ref, put] : puts_) {
-    SerializeTxOpRef(ref, out);
-    out->WriteString(put.key);
-    out->WriteValue(put.value);
-    out->WriteVarint(put.hid);
-    out->WriteVarint(put.opnum);
-  }
-  if (counted) {
-    out->WriteVarint(vars_.size());
-  }
-  for (const auto& [key, carry] : vars_) {
-    out->WriteVarint(key.first);
-    SerializeOpRef(key.second, out);
-    out->WriteBool(carry.is_write);
-    if (carry.is_write) {
-      out->WriteValue(carry.value);
-    }
-  }
+void CarryState::WriteResolutionCarries(ByteWriter* out) const {
+  WriteCarryTable(txn_sizes_, out);
+  WriteCarryTable(puts_, out);
+  WriteCarryTable(vars_, out);
 }
 
 void CarryState::Serialize(ByteWriter* out) const {
   out->WriteVarint(epoch_requests_);
   out->WriteVarint(epochs_);
-  WriteResolutionCarries(out, /*counted=*/true);
+  WriteResolutionCarries(out);
 
   out->WriteVarint(tx_imports_.size());
   for (const auto& [ref, pending] : tx_imports_) {
@@ -643,6 +682,9 @@ void CarryState::Deserialize(CkptReader* in) {
       carry.value = c.Val();
     }
   }
+  ByteWriter scratch;
+  resolution_carry_bytes_ = CarryTableBytes(txn_sizes_, &scratch) +
+                            CarryTableBytes(puts_, &scratch) + CarryTableBytes(vars_, &scratch);
 
   for (size_t i = c.N(); i > 0 && c.ok; --i) {
     TxOpRef ref = c.Tx();

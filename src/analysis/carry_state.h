@@ -216,6 +216,7 @@ class CarryState {
   const WriteOrder& write_order() const { return write_order_; }
   const std::map<TxnKey, uint32_t>& txn_sizes() const { return txn_sizes_; }
   const std::map<TxOpRef, PutCarry>& puts() const { return puts_; }
+  const std::map<VarKey, VarCarry>& vars() const { return vars_; }
   const std::map<TxOpRef, Pending<ContinuityImports::TxOpImport>>& tx_imports() const {
     return tx_imports_;
   }
@@ -223,10 +224,15 @@ class CarryState {
     return var_imports_;
   }
 
-  // The resolution carries (transaction sizes, PUTs, var-log entries), entry
-  // by entry. `counted` prefixes each table with its size, as the checkpoint
-  // needs; the resident-bytes gauge counts the entries alone.
-  void WriteResolutionCarries(ByteWriter* out, bool counted) const;
+  // The resolution carries (transaction sizes, PUTs, var-log entries): each
+  // table's size, then its entries, as the checkpoint stores them.
+  void WriteResolutionCarries(ByteWriter* out) const;
+  // Bytes of the resolution carries' entries as WriteResolutionCarries
+  // serializes them, less its three table sizes: the carries' share of the
+  // resident-bytes gauge. Kept as a running count (Fold adds each new entry
+  // and swaps out an overwritten one; Deserialize recounts once), so reading
+  // it costs nothing per epoch.
+  size_t resolution_carry_bytes() const { return resolution_carry_bytes_; }
 
   // Checkpoint round trip, in a canonical (sorted) encoding. Deserialize
   // expects a freshly begun state and latches `in->ok` on malformed input.
@@ -254,6 +260,9 @@ class CarryState {
   void FinishEarlyContent(std::vector<LintDiagnostic>* out) const;
   void FinishImports(std::vector<LintDiagnostic>* out) const;
   void FinishPrecChains(std::vector<LintDiagnostic>* out) const;
+  // Sets a resolution carry, keeping resolution_carry_bytes_ exact.
+  template <typename Table, typename Key, typename Carry>
+  void SetCarry(Table* table, const Key& key, Carry carry, ByteWriter* scratch);
 
   uint64_t epoch_requests_ = 0;
   uint64_t epochs_ = 0;
@@ -263,6 +272,7 @@ class CarryState {
   std::map<TxnKey, uint32_t> txn_sizes_;
   std::map<TxOpRef, PutCarry> puts_;
   std::map<VarKey, VarCarry> vars_;
+  size_t resolution_carry_bytes_ = 0;
   // Every forward allegation the stream registered. Kept to the end: they
   // back resolution until their target arrives, and the finish-time checks
   // confirm them against the carries.

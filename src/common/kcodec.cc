@@ -1,5 +1,7 @@
 #include "src/common/kcodec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace karousos {
@@ -8,6 +10,7 @@ namespace {
 
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;
+constexpr size_t kChainSlots = kMaxOffset + 1;  // The chain ring: one window of positions.
 // Hash-chain matcher: 15-bit head table, bounded walk per position. Deep
 // enough to find the long repeats that dominate advice payloads (digest
 // tables, repeated keys) without quadratic blowup on pathological input.
@@ -63,7 +66,13 @@ void BlockCompress(const uint8_t* data, size_t size, std::vector<uint8_t>* out) 
     return;
   }
   std::vector<int64_t> head(size_t{1} << kHashBits, -1);
-  std::vector<int64_t> chain(size, -1);
+  // Chain links live in a ring indexed by position modulo the window (or the
+  // input, when smaller): a walk from position i only visits candidates
+  // within kMaxOffset of i, and the slot of such a candidate is not reused
+  // until a position kMaxOffset + 1 past it is inserted, so the ring reads
+  // exactly what a link per input byte would.
+  const size_t chain_mask = std::min(kChainSlots, std::bit_ceil(size)) - 1;
+  std::vector<int64_t> chain(chain_mask + 1, -1);
   size_t anchor = 0;
   size_t i = 0;
   while (i + kMinMatch <= size) {
@@ -85,7 +94,7 @@ void BlockCompress(const uint8_t* data, size_t size, std::vector<uint8_t>* out) 
         best_len = len;
         best_offset = i - static_cast<size_t>(cand);
       }
-      cand = chain[static_cast<size_t>(cand)];
+      cand = chain[static_cast<size_t>(cand) & chain_mask];
       ++depth;
     }
     if (best_len >= kMinMatch) {
@@ -93,13 +102,13 @@ void BlockCompress(const uint8_t* data, size_t size, std::vector<uint8_t>* out) 
       const size_t end = i + best_len;
       for (; i < end && i + kMinMatch <= size; ++i) {
         const uint32_t hh = HashOf(Load32(data + i));
-        chain[i] = head[hh];
+        chain[i & chain_mask] = head[hh];
         head[hh] = static_cast<int64_t>(i);
       }
       i = end;
       anchor = end;
     } else {
-      chain[i] = head[h];
+      chain[i & chain_mask] = head[h];
       head[h] = static_cast<int64_t>(i);
       ++i;
     }

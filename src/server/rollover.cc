@@ -156,12 +156,9 @@ EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_re
   return SliceRunOwned(trace, std::move(copy), epoch_requests);
 }
 
-EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_requests) {
-  EpochSlices out;
+TraceEpochs CutTraceEpochs(const Trace& trace, uint64_t epoch_requests) {
+  TraceEpochs out;
   out.epoch_requests = epoch_requests;
-
-  // The trace's request ids fix the epoch count; advice content beyond the
-  // last trace epoch is clamped into the final slice.
   struct RidSeen {
     bool req = false;
     bool resp = false;
@@ -174,14 +171,12 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
     (ev.kind == TraceEvent::Kind::kRequest ? s.req : s.resp) = true;
     s.last = i;
   }
-  uint64_t max_epoch = 0;
+  out.rids.reserve(seen.size());
   for (const auto& [rid, s] : seen) {
-    max_epoch = std::max(max_epoch, EpochOfRid(rid, epoch_requests));
+    out.rids.push_back(rid);
+    out.max_epoch = std::max(out.max_epoch, EpochOfRid(rid, epoch_requests));
   }
-  const size_t epochs = static_cast<size_t>(max_epoch) + 1;
-  const auto clamp_epoch = [&](RequestId rid) {
-    return std::min(EpochOfRid(rid, epoch_requests), max_epoch);
-  };
+  const size_t epochs = static_cast<size_t>(out.max_epoch) + 1;
 
   // Chronological cuts: window e ends at the earliest index past the last
   // event of every completed request of epochs <= e. A request missing its
@@ -198,7 +193,7 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
       completion[e] = std::max(completion[e], s.last + 1);
     }
   }
-  out.segments.resize(epochs);
+  out.window_ends.resize(epochs);
   size_t prev_cut = 0;
   size_t running_completion = 0;
   bool running_incomplete = false;
@@ -208,11 +203,31 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
     size_t cut = running_incomplete ? trace.events.size() : running_completion;
     if (e + 1 == epochs) cut = trace.events.size();
     cut = std::max(cut, prev_cut);
-    out.segments[e].epoch = e;
-    out.segments[e].window.assign(trace.events.begin() + static_cast<ptrdiff_t>(prev_cut),
-                                  trace.events.begin() + static_cast<ptrdiff_t>(cut));
+    out.window_ends[e] = cut;
     prev_cut = cut;
   }
+  return out;
+}
+
+void AssignWindows(const Trace& trace, const TraceEpochs& cuts,
+                   std::vector<EpochSegment>* segments) {
+  segments->resize(cuts.epochs());
+  size_t begin = 0;
+  for (size_t e = 0; e < cuts.epochs(); ++e) {
+    EpochSegment& seg = (*segments)[e];
+    seg.epoch = e;
+    seg.window.assign(trace.events.begin() + static_cast<ptrdiff_t>(begin),
+                      trace.events.begin() + static_cast<ptrdiff_t>(cuts.window_ends[e]));
+    begin = cuts.window_ends[e];
+  }
+}
+
+EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_requests) {
+  EpochSlices out;
+  out.epoch_requests = epoch_requests;
+  const TraceEpochs cuts = CutTraceEpochs(trace, epoch_requests);
+  const size_t epochs = cuts.epochs();
+  AssignWindows(trace, cuts, &out.segments);
 
   // Continuity imports: allegations for every forward cross-epoch reference,
   // deduplicated and emitted in sorted order so server-side and
@@ -223,18 +238,18 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
     std::vector<std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport>> var_imports(
         epochs);
     for (const auto& [txn, log] : advice.tx_logs) {
-      const size_t e = static_cast<size_t>(clamp_epoch(txn.rid));
+      const size_t e = cuts.SliceOf(txn.rid);
       for (const TxOperation& op : log) {
         if (op.type != TxOpType::kGet || op.get_from.IsNil()) continue;
-        if (clamp_epoch(op.get_from.rid) <= e) continue;
+        if (cuts.SliceOf(op.get_from.rid) <= e) continue;
         tx_imports[e].emplace(op.get_from, DescribeTxOp(advice, op.get_from));
       }
     }
     for (const auto& [vid, log] : advice.var_logs) {
       for (const auto& [op, entry] : log) {
-        const size_t e = static_cast<size_t>(clamp_epoch(op.rid));
+        const size_t e = cuts.SliceOf(op.rid);
         if (entry.prec.IsNil()) continue;
-        if (clamp_epoch(entry.prec.rid) <= e) continue;
+        if (cuts.SliceOf(entry.prec.rid) <= e) continue;
         var_imports[e].emplace(std::make_pair(vid, entry.prec),
                                DescribeVarEntry(advice, vid, entry.prec));
       }
@@ -250,54 +265,40 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
   // advice (per-epoch key sequences are ascending subsequences of the
   // source maps, so end-hinted inserts rebuild each slice in one pass).
   for (const auto& [rid, tag] : advice.tags) {
-    Advice& target = out.segments[clamp_epoch(rid)].advice;
+    Advice& target = out.segments[cuts.SliceOf(rid)].advice;
     target.tags.emplace_hint(target.tags.end(), rid, tag);
   }
   for (auto& [rid, log] : advice.handler_logs) {
-    Advice& target = out.segments[clamp_epoch(rid)].advice;
+    Advice& target = out.segments[cuts.SliceOf(rid)].advice;
     target.handler_logs.emplace_hint(target.handler_logs.end(), rid, std::move(log));
   }
   for (auto& [vid, log] : advice.var_logs) {
     for (auto& [op, entry] : log) {
-      VarLog& target = out.segments[clamp_epoch(op.rid)].advice.var_logs[vid];
+      VarLog& target = out.segments[cuts.SliceOf(op.rid)].advice.var_logs[vid];
       target.emplace_hint(target.end(), op, std::move(entry));
     }
   }
   for (auto& [txn, log] : advice.tx_logs) {
-    Advice& target = out.segments[clamp_epoch(txn.rid)].advice;
+    Advice& target = out.segments[cuts.SliceOf(txn.rid)].advice;
     target.tx_logs.emplace_hint(target.tx_logs.end(), txn, std::move(log));
   }
   for (const auto& [rid, emitter] : advice.response_emitted_by) {
-    Advice& target = out.segments[clamp_epoch(rid)].advice;
+    Advice& target = out.segments[cuts.SliceOf(rid)].advice;
     target.response_emitted_by.emplace_hint(target.response_emitted_by.end(), rid, emitter);
   }
   for (const auto& [key, count] : advice.opcounts) {
-    Advice& target = out.segments[clamp_epoch(key.first)].advice;
+    Advice& target = out.segments[cuts.SliceOf(key.first)].advice;
     target.opcounts.emplace_hint(target.opcounts.end(), key, count);
   }
   for (auto& [op, record] : advice.nondet) {
-    Advice& target = out.segments[clamp_epoch(op.rid)].advice;
+    Advice& target = out.segments[cuts.SliceOf(op.rid)].advice;
     target.nondet.emplace_hint(target.nondet.end(), op, std::move(record));
   }
 
-  // Write order: positional prefix chunks. Chunk e extends while entries
-  // belong to epochs <= e; the first later-epoch entry ends the chunk, and
-  // earlier-epoch entries stranded behind it move to the later chunk. The
-  // chunks therefore concatenate to exactly the alleged global order.
-  size_t pos = 0;
-  for (size_t e = 0; e < epochs; ++e) {
-    WriteOrder& chunk = out.segments[e].advice.write_order;
-    if (e + 1 == epochs) {
-      chunk.assign(advice.write_order.begin() + static_cast<ptrdiff_t>(pos),
-                   advice.write_order.end());
-      pos = advice.write_order.size();
-      break;
-    }
-    while (pos < advice.write_order.size() &&
-           clamp_epoch(advice.write_order[pos].rid) <= e) {
-      chunk.push_back(advice.write_order[pos]);
-      ++pos;
-    }
+  // Write order: positional prefix chunks.
+  WriteOrderChunker chunker;
+  for (const TxOpRef& ref : advice.write_order) {
+    out.segments[chunker.Next(cuts.SliceOf(ref.rid))].advice.write_order.push_back(ref);
   }
 
   return out;
@@ -344,31 +345,40 @@ uint8_t SegmentFormatVersionFor(const KsegCompression& c) {
   return c.any() ? kSegmentFormatVersionV2 : kSegmentFormatVersion;
 }
 
-void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, const EpochSegment& seg,
-                           const KsegCompression& c, ByteWriter* scratch) {
-  scratch->Clear();
+EncodedFrame EncodeEpochFrame(SegmentKind kind, const EpochSegment& seg,
+                              const KsegCompression& c) {
+  ByteWriter payload;
   const bool compact = c.lanes || c.dict;
   if (kind == SegmentKind::kTrace) {
     if (compact) {
-      EncodeCompactTracePayload(seg.window, c, scratch);
+      EncodeCompactTracePayload(seg.window, c, &payload);
     } else {
-      SerializeTraceEvents(seg.window, scratch);
+      SerializeTraceEvents(seg.window, &payload);
     }
   } else if (compact) {
-    EncodeCompactAdvicePayload(seg.advice, seg.imports, c, scratch);
+    EncodeCompactAdvicePayload(seg.advice, seg.imports, c, &payload);
   } else {
-    seg.advice.Serialize(scratch);
-    seg.imports.Serialize(scratch);
+    seg.advice.Serialize(&payload);
+    seg.imports.Serialize(&payload);
   }
-  const uint8_t flags = static_cast<uint8_t>(c.Flags() & ~kFrameFlagBlock);
+  EncodedFrame out;
+  out.flags = static_cast<uint8_t>(c.Flags() & ~kFrameFlagBlock);
   if (c.block) {
-    std::vector<uint8_t> blocked = BlockFrameEncode(scratch->bytes());
-    if (blocked.size() < scratch->size()) {
-      writer->Append(kind, seg.epoch, static_cast<uint8_t>(flags | kFrameFlagBlock), blocked);
-      return;
+    std::vector<uint8_t> blocked = BlockFrameEncode(payload.bytes());
+    if (blocked.size() < payload.size()) {
+      out.flags |= kFrameFlagBlock;
+      out.payload = std::move(blocked);
+      return out;
     }
   }
-  writer->Append(kind, seg.epoch, flags, scratch->bytes());
+  out.payload = payload.Take();
+  return out;
+}
+
+void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, const EpochSegment& seg,
+                           const KsegCompression& c) {
+  const EncodedFrame frame = EncodeEpochFrame(kind, seg, c);
+  writer->Append(kind, seg.epoch, frame.flags, frame.payload);
 }
 
 namespace {
@@ -376,11 +386,8 @@ namespace {
 std::vector<uint8_t> EncodeStream(const EpochSlices& slices, SegmentKind kind,
                                   const KsegCompression& c) {
   SegmentWriter writer(SegmentFormatVersionFor(c));
-  // One scratch payload buffer across frames: Clear keeps the capacity, so
-  // only the largest epoch ever allocates.
-  ByteWriter scratch;
   for (const EpochSegment& seg : slices.segments) {
-    AppendCompressedFrame(&writer, kind, seg, c, &scratch);
+    AppendCompressedFrame(&writer, kind, seg, c);
   }
   return writer.Take();
 }

@@ -26,6 +26,7 @@
 #ifndef SRC_SERVER_ROLLOVER_H_
 #define SRC_SERVER_ROLLOVER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -105,6 +106,46 @@ struct EpochSlices {
   std::vector<EpochSegment> segments;  // One per epoch, in epoch order.
 };
 
+// A trace's epoch layout, shared by the epoch slicer and the shard slicer
+// (src/server/shard.h) so both cut identical windows.
+struct TraceEpochs {
+  uint64_t epoch_requests = 0;
+  // The trace's request ids fix the epoch count; advice content beyond the
+  // last trace epoch is clamped into the final slice.
+  uint64_t max_epoch = 0;
+  std::vector<RequestId> rids;      // Every trace rid, ascending.
+  std::vector<size_t> window_ends;  // Per epoch: one past its window's last event.
+
+  size_t epochs() const { return window_ends.size(); }
+  // The slice a rid's content belongs to.
+  size_t SliceOf(RequestId rid) const {
+    return static_cast<size_t>(std::min(EpochOfRid(rid, epoch_requests), max_epoch));
+  }
+};
+TraceEpochs CutTraceEpochs(const Trace& trace, uint64_t epoch_requests);
+
+// Sizes *segments to one per epoch and fills each one's epoch index and
+// trace window.
+void AssignWindows(const Trace& trace, const TraceEpochs& cuts,
+                   std::vector<EpochSegment>* segments);
+
+// Cuts an alleged write order (or a shard's filtered subsequence of it) into
+// positional per-epoch chunks: a chunk extends while entries belong to its
+// epoch or earlier, the first later-epoch entry opens a later chunk, and
+// earlier-epoch entries stranded behind it stay there. Feed the entries'
+// slices in order; each call returns the chunk the entry goes to. The chunks
+// therefore concatenate to exactly the order fed.
+class WriteOrderChunker {
+ public:
+  size_t Next(size_t slice) {
+    chunk_ = std::max(chunk_, slice);
+    return chunk_;
+  }
+
+ private:
+  size_t chunk_ = 0;
+};
+
 // Slices a complete run. epoch_requests == 0 means one epoch holding
 // everything. Advice content whose rid falls beyond the last trace epoch is
 // clamped into the final slice (where the lint's not-in-trace rule reports
@@ -136,10 +177,19 @@ Advice MergeSlices(EpochSlices&& slices);
 // container is v1 and its bytes are the raw encoding.
 uint8_t SegmentFormatVersionFor(const KsegCompression& c);
 
-// Appends seg's frame of `kind` (kTrace or kAdvice) under the stages `c`.
-// `scratch` is payload storage reused across frames.
+// seg's frame of `kind` (kTrace or kAdvice) under the stages `c`: its flags
+// and stored payload. Frames encode independently of each other, so a writer
+// may encode them on any threads and append them in epoch order.
+struct EncodedFrame {
+  uint8_t flags = 0;
+  std::vector<uint8_t> payload;
+};
+EncodedFrame EncodeEpochFrame(SegmentKind kind, const EpochSegment& seg,
+                              const KsegCompression& c);
+
+// Encodes seg's frame of `kind` and appends it.
 void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, const EpochSegment& seg,
-                           const KsegCompression& c, ByteWriter* scratch);
+                           const KsegCompression& c);
 
 // The two-container epoch stream: one kTrace frame per epoch in one
 // container, one kAdvice frame per epoch in the other.

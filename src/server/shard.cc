@@ -1,10 +1,12 @@
 #include "src/server/shard.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <utility>
 
 #include "src/analysis/carry_state.h"
+#include "src/common/pool.h"
 
 namespace karousos {
 
@@ -296,6 +298,15 @@ void SummarizeContent(const EpochSlices& slices, ShardBoundary* b) {
   for (const auto& [vid, c] : chains) b->chains.push_back(c);
 }
 
+// Runs fn(i) for every i in [0, n) with one participant per hardware thread,
+// capped at n. Callers write each index's result into its own slot, so the
+// output does not depend on the thread count.
+void ForEachIndex(size_t n, const std::function<void(size_t)>& fn) {
+  WorkStealingPool pool(static_cast<unsigned>(
+      std::min<size_t>(WorkStealingPool::ResolveThreads(0), std::max<size_t>(n, 1))));
+  pool.ParallelFor(n, fn);
+}
+
 }  // namespace
 
 std::vector<ShardFile> ShardRun(const Trace& trace, const Advice& advice,
@@ -309,85 +320,90 @@ std::vector<ShardFile> ShardRun(const Trace& trace, const Advice& advice,
     return it == assignment.end() ? 0 : it->second;
   };
 
-  // Epoch math, mirroring SliceRunOwned: the trace fixes the epoch count and
+  // The epoch slicer's cuts: the trace fixes the epoch count and
   // out-of-trace advice rids clamp into the final epoch.
-  std::set<RequestId> trace_rids;
-  for (const TraceEvent& ev : trace.events) trace_rids.insert(ev.rid);
-  uint64_t max_epoch = 0;
-  for (RequestId rid : trace_rids) {
-    max_epoch = std::max(max_epoch, EpochOfRid(rid, epoch_requests));
+  const TraceEpochs cuts = CutTraceEpochs(trace, epoch_requests);
+  const size_t epochs = cuts.epochs();
+  std::vector<ShardFile> out(shards);
+  for (ShardFile& sf : out) {
+    sf.slices.epoch_requests = epoch_requests;
+    sf.slices.segments.resize(epochs);
   }
-  const auto clamp_epoch = [&](RequestId rid) {
-    return std::min(EpochOfRid(rid, epoch_requests), max_epoch);
+  // The (shard, epoch) slice owning a request's content.
+  const auto slice_of = [&](RequestId rid) -> Advice& {
+    return out[shard_of(rid)].slices.segments[cuts.SliceOf(rid)].advice;
   };
 
-  // Filter the advice by owning shard. The write order additionally records
-  // each kept entry's global position — filtering preserves relative order,
-  // so per-shard positions are strictly increasing and the merge re-stitches
-  // the total order by position.
-  std::vector<Advice> parts(shards);
-  std::vector<std::vector<uint64_t>> positions(shards);
+  // One pass over the advice: every entry goes straight into its owning
+  // shard's epoch slice. Per-slice key sequences are ascending subsequences
+  // of the source maps, so end-hinted inserts build each slice in order.
   for (const auto& [rid, tag] : advice.tags) {
-    Advice& t = parts[shard_of(rid)];
+    Advice& t = slice_of(rid);
     t.tags.emplace_hint(t.tags.end(), rid, tag);
   }
   for (const auto& [rid, log] : advice.handler_logs) {
-    Advice& t = parts[shard_of(rid)];
+    Advice& t = slice_of(rid);
     t.handler_logs.emplace_hint(t.handler_logs.end(), rid, log);
   }
   for (const auto& [vid, log] : advice.var_logs) {
     for (const auto& [op, entry] : log) {
-      VarLog& target = parts[shard_of(op.rid)].var_logs[vid];
+      VarLog& target = slice_of(op.rid).var_logs[vid];
       target.emplace_hint(target.end(), op, entry);
     }
   }
   for (const auto& [txn, log] : advice.tx_logs) {
-    Advice& t = parts[shard_of(txn.rid)];
+    Advice& t = slice_of(txn.rid);
     t.tx_logs.emplace_hint(t.tx_logs.end(), txn, log);
   }
   for (const auto& [rid, emitter] : advice.response_emitted_by) {
-    Advice& t = parts[shard_of(rid)];
+    Advice& t = slice_of(rid);
     t.response_emitted_by.emplace_hint(t.response_emitted_by.end(), rid, emitter);
   }
   for (const auto& [key, count] : advice.opcounts) {
-    Advice& t = parts[shard_of(key.first)];
+    Advice& t = slice_of(key.first);
     t.opcounts.emplace_hint(t.opcounts.end(), key, count);
   }
   for (const auto& [op, record] : advice.nondet) {
-    Advice& t = parts[shard_of(op.rid)];
+    Advice& t = slice_of(op.rid);
     t.nondet.emplace_hint(t.nondet.end(), op, record);
   }
+  // The write order is filtered by owning shard, then chunked per epoch like
+  // the epoch slicer's. Each kept entry also records its global position:
+  // filtering preserves relative order, so per-shard positions are strictly
+  // increasing and the merge re-stitches the total order by position.
+  std::vector<WriteOrderChunker> chunkers(shards);
   for (size_t pos = 0; pos < advice.write_order.size(); ++pos) {
-    const uint32_t s = shard_of(advice.write_order[pos].rid);
-    parts[s].write_order.push_back(advice.write_order[pos]);
-    positions[s].push_back(pos);
+    const TxOpRef& ref = advice.write_order[pos];
+    const uint32_t s = shard_of(ref.rid);
+    const size_t chunk = chunkers[s].Next(cuts.SliceOf(ref.rid));
+    out[s].slices.segments[chunk].advice.write_order.push_back(ref);
+    out[s].boundary.write_order_positions.push_back(pos);
   }
 
   // Shard-aware continuity imports, one pass over the full advice: a
   // reference needs an allegation when its target is in a later epoch (the
   // epoch rule) OR owned by another shard (never locally confirmable). The
-  // imports are recomputed against the *full* advice — the filtered copies
+  // imports are described from the *full* advice — a shard's own slices
   // would misdescribe out-of-shard targets as absent — and deduplicated in
   // sorted order, like the epoch slicer, so shard files are deterministic
   // byte-for-byte. The same pass records the reverse index: every cross-shard
   // target charges its owning shard with an export obligation, so the merge
   // can confirm the allegation against the owner's real content.
-  const size_t epochs_total = static_cast<size_t>(max_epoch) + 1;
   std::vector<std::vector<std::map<TxOpRef, ContinuityImports::TxOpImport>>> tx_imports(
-      shards, std::vector<std::map<TxOpRef, ContinuityImports::TxOpImport>>(epochs_total));
+      shards, std::vector<std::map<TxOpRef, ContinuityImports::TxOpImport>>(epochs));
   std::vector<std::vector<std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport>>>
       var_imports(shards,
                   std::vector<std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport>>(
-                      epochs_total));
+                      epochs));
   std::vector<std::set<TxOpRef>> tx_obligations(shards);
   std::vector<std::set<std::pair<VarId, OpRef>>> var_obligations(shards);
   for (const auto& [txn, log] : advice.tx_logs) {
     const uint32_t s = shard_of(txn.rid);
-    const size_t e = static_cast<size_t>(clamp_epoch(txn.rid));
+    const size_t e = cuts.SliceOf(txn.rid);
     for (const TxOperation& op : log) {
       if (op.type != TxOpType::kGet || op.get_from.IsNil()) continue;
       const uint32_t owner = shard_of(op.get_from.rid);
-      if (clamp_epoch(op.get_from.rid) <= e && owner == s) continue;
+      if (cuts.SliceOf(op.get_from.rid) <= e && owner == s) continue;
       tx_imports[s][e].emplace(op.get_from, DescribeTxOp(advice, op.get_from));
       if (owner != s) tx_obligations[owner].insert(op.get_from);
     }
@@ -396,61 +412,73 @@ std::vector<ShardFile> ShardRun(const Trace& trace, const Advice& advice,
     for (const auto& [op, entry] : log) {
       if (entry.prec.IsNil()) continue;
       const uint32_t s = shard_of(op.rid);
-      const size_t e = static_cast<size_t>(clamp_epoch(op.rid));
+      const size_t e = cuts.SliceOf(op.rid);
       const uint32_t owner = shard_of(entry.prec.rid);
-      if (clamp_epoch(entry.prec.rid) <= e && owner == s) continue;
+      if (cuts.SliceOf(entry.prec.rid) <= e && owner == s) continue;
       var_imports[s][e].emplace(std::make_pair(vid, entry.prec),
                                 DescribeVarEntry(advice, vid, entry.prec));
       if (owner != s) var_obligations[owner].insert({vid, entry.prec});
     }
   }
 
-  std::vector<ShardFile> out(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
+  // Per-shard finishing work on a pool, one index per shard: trace windows,
+  // imports and the boundary manifest.
+  ForEachIndex(shards, [&](size_t i) {
+    const uint32_t s = static_cast<uint32_t>(i);
     ShardFile& sf = out[s];
-    // The epoch slicer does the window cuts and per-epoch advice slicing.
-    sf.slices = SliceRunOwned(trace, std::move(parts[s]), epoch_requests);
-    const size_t epochs = sf.slices.segments.size();
-    for (size_t e = 0; e < epochs && e < epochs_total; ++e) {
+    AssignWindows(trace, cuts, &sf.slices.segments);
+    for (size_t e = 0; e < epochs; ++e) {
       EpochSegment& seg = sf.slices.segments[e];
-      seg.imports = ContinuityImports{};
       for (auto& [ref, imp] : tx_imports[s][e]) seg.imports.tx_ops.push_back(std::move(imp));
       for (auto& [key, imp] : var_imports[s][e]) {
         seg.imports.var_entries.push_back(std::move(imp));
       }
     }
-
     ShardBoundary& b = sf.boundary;
     b.shard = s;
     b.count = shards;
     b.mode = norm.mode;
     b.epoch_requests = epoch_requests;
     b.epochs = epochs;
-    for (RequestId rid : trace_rids) {
+    for (RequestId rid : cuts.rids) {
       if (shard_of(rid) == s) b.rids.push_back(rid);
     }
     b.rid_digest = DigestRids(b.rids);
-    b.trace_digest = DigestTraceWindows(sf.slices);
-    b.balance_digest = DigestBalance(sf.slices);
-    b.write_order_positions = std::move(positions[s]);
     b.write_order_total = advice.write_order.size();
     b.export_tx_refs.assign(tx_obligations[s].begin(), tx_obligations[s].end());
     b.export_var_refs.assign(var_obligations[s].begin(), var_obligations[s].end());
     SummarizeContent(sf.slices, &b);
+  });
+  // Every shard carries the same trace windows, so their digests are
+  // computed once.
+  const uint64_t trace_digest = DigestTraceWindows(out[0].slices);
+  const uint64_t balance_digest = DigestBalance(out[0].slices);
+  for (ShardFile& sf : out) {
+    sf.boundary.trace_digest = trace_digest;
+    sf.boundary.balance_digest = balance_digest;
   }
   return out;
 }
 
 std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompression& c) {
   SegmentWriter writer(SegmentFormatVersionFor(c));
-  ByteWriter scratch;
-  shard.boundary.Serialize(&scratch);
+  ByteWriter boundary;
+  shard.boundary.Serialize(&boundary);
   // The boundary frame stays raw: the merge reads manifests before anything
   // else and must not depend on payload codecs.
-  writer.Append(SegmentKind::kShardBoundary, shard.boundary.shard, scratch.bytes());
-  for (const EpochSegment& seg : shard.slices.segments) {
-    AppendCompressedFrame(&writer, SegmentKind::kTrace, seg, c, &scratch);
-    AppendCompressedFrame(&writer, SegmentKind::kAdvice, seg, c, &scratch);
+  writer.Append(SegmentKind::kShardBoundary, shard.boundary.shard, boundary.bytes());
+  // Two frames per epoch (trace, then advice), encoded on a pool into
+  // index-addressed slots and appended in epoch order.
+  const std::vector<EpochSegment>& segments = shard.slices.segments;
+  std::vector<EncodedFrame> frames(2 * segments.size());
+  ForEachIndex(frames.size(), [&](size_t i) {
+    frames[i] = EncodeEpochFrame(i % 2 == 0 ? SegmentKind::kTrace : SegmentKind::kAdvice,
+                                 segments[i / 2], c);
+  });
+  for (size_t i = 0; i < frames.size(); ++i) {
+    writer.Append(i % 2 == 0 ? SegmentKind::kTrace : SegmentKind::kAdvice, segments[i / 2].epoch,
+                  frames[i].flags, frames[i].payload);
+    frames[i].payload = {};
   }
   return writer.Take();
 }

@@ -562,12 +562,12 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
 size_t Verifier::MeasureResidentBytes(const EpochSegment& segment) const {
   // What the session must hold to keep auditing: this epoch's slice and
   // imports plus the carried state of every completed epoch, measured in
-  // serialized bytes (the same metric as the whole advice's footprint).
+  // serialized bytes (the same metric as the whole advice's footprint). The
+  // carry state keeps its share as a running count.
   ByteWriter w;
   segment.advice.Serialize(&w);
   segment.imports.Serialize(&w);
-  carry_.WriteResolutionCarries(&w, /*counted=*/false);
-  return w.size();
+  return w.size() + carry_.resolution_carry_bytes();
 }
 
 void Verifier::StreamEndEpoch(const EpochSegment& segment) {

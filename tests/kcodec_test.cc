@@ -177,6 +177,47 @@ TEST(BlockCodecTest, StructuredAdviceLikeBytesRoundTrip) {
   EXPECT_EQ(RoundTripBlock(w.bytes()), w.bytes());
 }
 
+// The encoder keeps its hash-chain links in a ring one match window wide.
+// A 256 KB input whose repeats sit both inside the window and far beyond it
+// (words from a small vocabulary throughout, plus whole spans copied from
+// more than 64 KB back) walks chains across every ring wraparound; its
+// encoding is pinned by size and CRC to the output of the encoder that kept
+// one link per input byte.
+TEST(BlockCodecTest, ChainRingEncodingIsPinned) {
+  std::mt19937_64 rng(29);
+  std::vector<std::vector<uint8_t>> words(48);
+  for (auto& word : words) {
+    word.resize(8 + rng() % 24);
+    for (auto& b : word) {
+      b = static_cast<uint8_t>(rng());
+    }
+  }
+  std::vector<uint8_t> data;
+  while (data.size() < 256 * 1024) {
+    const uint64_t pick = rng();
+    if (pick % 97 == 0 && data.size() > 100 * 1024) {
+      // A span copied from 70..100 KB back: beyond the window, so it must be
+      // re-encoded from whatever nearer matches exist.
+      const size_t back = 70 * 1024 + pick % (30 * 1024);
+      const size_t from = data.size() - back;
+      for (size_t i = 0; i < 2048; ++i) {
+        data.push_back(data[from + i]);
+      }
+    } else if (pick % 5 == 0) {
+      data.push_back(static_cast<uint8_t>(pick >> 8));
+    } else {
+      const std::vector<uint8_t>& word = words[(pick >> 16) % words.size()];
+      data.insert(data.end(), word.begin(), word.end());
+    }
+  }
+  std::vector<uint8_t> stored = BlockFrameEncode(data);
+  EXPECT_EQ(stored.size(), 37446u);
+  EXPECT_EQ(Crc32(stored), 1922328740u);
+  auto back = BlockFrameDecode(stored);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, data);
+}
+
 TEST(BlockCodecTest, TruncationAtEveryByteRejects) {
   std::vector<uint8_t> data;
   for (int i = 0; i < 64; ++i) {
