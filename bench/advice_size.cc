@@ -25,11 +25,12 @@
 #include <vector>
 
 #include "src/analysis/check.h"
-#include "src/audit/stream.h"
+#include "src/apps/app.h"
 #include "src/common/kcodec.h"
 #include "src/common/segment.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
+#include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
 namespace karousos {
@@ -87,34 +88,14 @@ double MedianOf(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-// Decodes every frame of both streams (the verifier's read path, isolated
-// from replay); returns false on any undecodable frame.
+// Decodes every epoch of both streams (the verifier's read path, isolated
+// from replay); returns false on any container fault.
 bool DecodeStreams(const std::vector<uint8_t>& trace_bytes,
                    const std::vector<uint8_t>& advice_bytes) {
-  for (int which = 0; which < 2; ++which) {
-    const std::vector<uint8_t>& bytes = which == 0 ? trace_bytes : advice_bytes;
-    std::string error;
-    auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
-    if (reader == nullptr) {
-      return false;
-    }
-    SegmentRecord rec;
-    while (reader->Next(&rec)) {
-      if (rec.kind == SegmentKind::kTrace) {
-        if (!DecodeTraceSegmentPayload(rec.payload, rec.flags)) {
-          return false;
-        }
-      } else if (rec.kind == SegmentKind::kAdvice) {
-        if (!DecodeAdviceSegmentPayload(rec.payload, rec.flags)) {
-          return false;
-        }
-      }
-    }
-    if (!reader->ok()) {
-      return false;
-    }
+  ContainerPairSource source(trace_bytes, advice_bytes);
+  while (source.Next() != nullptr) {
   }
-  return true;
+  return !source.finding();
 }
 
 int Main(int argc, char** argv) {
@@ -184,21 +165,27 @@ int Main(int argc, char** argv) {
     }
 
     VerifierConfig cfg{IsolationLevel::kSerializable, 1};
-    StreamAuditResult raw_audit, packed_audit;
+    const auto audit_containers = [&](const std::vector<uint8_t>& trace_bytes,
+                                      const std::vector<uint8_t>& advice_bytes) {
+      AuditSession session(*app.program, cfg, kEpochSize);
+      ContainerPairSource source(trace_bytes, advice_bytes);
+      return session.Run(&source);
+    };
+    AuditResult raw_audit, packed_audit;
     for (int rep = 0; rep < kReps; ++rep) {
       double t0 = Now();
-      raw_audit = AuditSegments(app, raw_trace, raw_advice, cfg, kEpochSize);
+      raw_audit = audit_containers(raw_trace, raw_advice);
       audit_times.push_back(Now() - t0);
     }
-    packed_audit = AuditSegments(app, packed_trace, packed_advice, cfg, kEpochSize);
-    if (!raw_audit.audit.accepted) {
+    packed_audit = audit_containers(packed_trace, packed_advice);
+    if (!raw_audit.accepted) {
       std::fprintf(stderr, "BUG: [%s] raw stream rejected: %s\n", spec.name,
-                   raw_audit.audit.reason.c_str());
+                   raw_audit.reason.c_str());
       return 1;
     }
-    if (packed_audit.audit.accepted != raw_audit.audit.accepted ||
-        packed_audit.audit.reason != raw_audit.audit.reason ||
-        packed_audit.audit.rule != raw_audit.audit.rule) {
+    if (packed_audit.accepted != raw_audit.accepted ||
+        packed_audit.reason != raw_audit.reason ||
+        packed_audit.rule != raw_audit.rule) {
       std::fprintf(stderr, "BUG: [%s] compressed verdict differs from raw\n", spec.name);
       return 1;
     }

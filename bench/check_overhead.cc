@@ -2,8 +2,9 @@
 // cost, standalone and as the audit's fast-reject pre-screen?
 //
 // Serves stacks at 600 requests, then at epoch sizes {1, 50, 0=∞} measures
-// (median of 3): the standalone checker pass (CheckRun), the full streamed
-// audit with the pre-screen on, and the same audit with it off. The verdict,
+// (median of 3): the standalone check loop (CheckEpochs over the sliced run),
+// the audit loop (AuditSession::Run over the same slices) with the pre-screen
+// on, and the same audit with it off. The verdict,
 // reason, rule, and diagnostics must be identical with the pre-screen on and
 // off, and on a clean run the pre-screen must add under 10% end-to-end.
 // Final rows replay the KSEG mutation corpora (the fuzzer's stacks and
@@ -19,10 +20,11 @@
 #include <vector>
 
 #include "src/analysis/check.h"
+#include "src/apps/app.h"
 #include "tests/support/kseg_mutate.h"
 #include "tests/support/shard_mutate.h"
-#include "src/audit/stream.h"
 #include "src/server/server.h"
+#include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
 namespace karousos {
@@ -77,7 +79,8 @@ FuzzCatch MeasureStaticCatch(const ServerRunResult& run, uint64_t epoch_size) {
   FuzzCatch result;
   result.mutations = corpus.size();
   for (const KsegMutation& m : corpus) {
-    if (!CheckSegmentStreams(m.trace_bytes, m.advice_bytes, epoch_size).ok) {
+    ContainerPairSource source(m.trace_bytes, m.advice_bytes);
+    if (!CheckEpochs(&source, epoch_size).ok) {
       ++result.caught;
     }
   }
@@ -85,6 +88,15 @@ FuzzCatch MeasureStaticCatch(const ServerRunResult& run, uint64_t epoch_size) {
                         ? 0.0
                         : static_cast<double>(result.caught) / static_cast<double>(corpus.size());
   return result;
+}
+
+// The streamed audit of a complete run: sliced at epoch_size and fed through
+// one session by the audit loop.
+AuditResult AuditSliced(const AppSpec& app, const ServerRunResult& run,
+                        const VerifierConfig& config, uint64_t epoch_size) {
+  AuditSession session(*app.program, config, epoch_size);
+  SliceSource source(SliceRun(run.trace, run.advice, epoch_size));
+  return session.Run(&source);
 }
 
 bool SameOutcome(const AuditResult& a, const AuditResult& b) {
@@ -126,36 +138,37 @@ int Main(int argc, char** argv) {
   for (uint64_t epoch_size : {uint64_t{1}, uint64_t{50}, uint64_t{0}}) {
     std::vector<double> check_times, on_times, off_times;
     CheckResult check;
-    StreamAuditResult on, off;
+    AuditResult on, off;
     for (int rep = 0; rep < kReps; ++rep) {
       double t0 = Now();
-      check = CheckRun(run.trace, run.advice, epoch_size);
+      SliceSource slices(SliceRun(run.trace, run.advice, epoch_size));
+      check = CheckEpochs(&slices, epoch_size);
       check_times.push_back(Now() - t0);
 
       VerifierConfig cfg{IsolationLevel::kSerializable, 1};
       t0 = Now();
-      on = AuditStreamed(app, run.trace, run.advice, cfg, epoch_size);
+      on = AuditSliced(app, run, cfg, epoch_size);
       on_times.push_back(Now() - t0);
 
       cfg.prescreen = false;
       t0 = Now();
-      off = AuditStreamed(app, run.trace, run.advice, cfg, epoch_size);
+      off = AuditSliced(app, run, cfg, epoch_size);
       off_times.push_back(Now() - t0);
     }
     if (!check.ok) {
       std::fprintf(stderr, "BUG: honest run failed the model check: %s\n", check.reason.c_str());
       return 1;
     }
-    if (!on.audit.accepted) {
-      std::fprintf(stderr, "BUG: audit rejected the honest run: %s\n", on.audit.reason.c_str());
+    if (!on.accepted) {
+      std::fprintf(stderr, "BUG: audit rejected the honest run: %s\n", on.reason.c_str());
       return 1;
     }
-    if (!SameOutcome(on.audit, off.audit)) {
+    if (!SameOutcome(on, off)) {
       std::fprintf(stderr,
                    "BUG: prescreen changed the verdict at epoch size %llu "
                    "(on: %s/%s, off: %s/%s)\n",
-                   static_cast<unsigned long long>(epoch_size), on.audit.rule.c_str(),
-                   on.audit.reason.c_str(), off.audit.rule.c_str(), off.audit.reason.c_str());
+                   static_cast<unsigned long long>(epoch_size), on.rule.c_str(),
+                   on.reason.c_str(), off.rule.c_str(), off.reason.c_str());
       return 1;
     }
 
@@ -169,7 +182,7 @@ int Main(int argc, char** argv) {
     row.prescreen_overhead_pct =
         100.0 * (row.audit_seconds - row.audit_no_prescreen_seconds) /
         row.audit_no_prescreen_seconds;
-    row.accepted = on.audit.accepted;
+    row.accepted = on.accepted;
     rows.push_back(row);
     total_on += row.audit_seconds;
     total_off += row.audit_no_prescreen_seconds;

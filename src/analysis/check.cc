@@ -1,96 +1,10 @@
 #include "src/analysis/check.h"
 
-#include <memory>
 #include <utility>
 
 #include "src/analysis/lint.h"
-#include "src/common/segment.h"
 
 namespace karousos {
-
-namespace {
-
-// Walks a (trace, advice) container pair in lockstep, yielding one decoded
-// EpochSegment per epoch. Owns the stream pair's container rules, unreadable
-// container (001) and stream pairing (010); each frame goes through the one
-// epoch-frame reader (ReadEpochFrame: kind and payload 002, sequencing 003).
-class PairedSegmentCursor {
- public:
-  PairedSegmentCursor(const std::vector<uint8_t>& trace_bytes,
-                      const std::vector<uint8_t>& advice_bytes) {
-    trace_ = SegmentReader::FromBytes(trace_bytes.data(), trace_bytes.size(), &trace_open_error_);
-    advice_ =
-        SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &advice_open_error_);
-  }
-
-  // 1: *out filled. 0: both streams cleanly ended. -1: error (one finding
-  // appended to *diags).
-  int Next(EpochSegment* out, std::vector<LintDiagnostic>* diags) {
-    if (trace_ == nullptr) {
-      return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_open_error_,
-                  diags);
-    }
-    if (advice_ == nullptr) {
-      return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_open_error_,
-                  diags);
-    }
-    SegmentRecord trace_rec;
-    bool have_trace = trace_->Next(&trace_rec);
-    if (!have_trace && !trace_->ok()) {
-      return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_->error(), diags);
-    }
-    SegmentRecord advice_rec;
-    bool have_advice = advice_->Next(&advice_rec);
-    if (!have_advice && !advice_->ok()) {
-      return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_->error(),
-                  diags);
-    }
-    if (!have_trace && !have_advice) {
-      return 0;
-    }
-    if (have_trace != have_advice) {
-      uint64_t epoch = have_trace ? trace_rec.epoch : advice_rec.epoch;
-      frames_ += 1;
-      return Fail(kKarSeg010, have_trace ? "trace" : "advice",
-                  std::string("trace and advice streams disagree on the epoch set: the ") +
-                      (have_trace ? "trace" : "advice") + " stream has a frame for epoch " +
-                      std::to_string(epoch) + " but the " +
-                      (have_trace ? "advice" : "trace") + " stream ended",
-                  diags);
-    }
-    frames_ += 2;
-    std::optional<LintDiagnostic> finding =
-        ReadEpochFrame(trace_rec, SegmentKind::kTrace, next_epoch_, "trace", out);
-    if (!finding) {
-      finding = ReadEpochFrame(advice_rec, SegmentKind::kAdvice, next_epoch_, "advice", out);
-    }
-    if (finding) {
-      diags->push_back(std::move(*finding));
-      return -1;
-    }
-    ++next_epoch_;
-    return 1;
-  }
-
-  uint64_t frames() const { return frames_; }
-
- private:
-  static int Fail(const char* rule, std::string location, std::string message,
-                  std::vector<LintDiagnostic>* diags) {
-    diags->push_back(
-        LintDiagnostic{rule, LintSeverity::kError, std::move(location), std::move(message)});
-    return -1;
-  }
-
-  std::unique_ptr<SegmentReader> trace_;
-  std::unique_ptr<SegmentReader> advice_;
-  std::string trace_open_error_;
-  std::string advice_open_error_;
-  uint64_t next_epoch_ = 0;
-  uint64_t frames_ = 0;
-};
-
-}  // namespace
 
 SegmentChecker::SegmentChecker(uint64_t epoch_requests) { carry_.Begin(epoch_requests); }
 
@@ -162,81 +76,28 @@ CheckResult SegmentChecker::Finish() {
   return std::move(result_);
 }
 
-CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                const std::vector<uint8_t>& advice_bytes,
-                                uint64_t epoch_requests) {
+CheckResult CheckEpochs(EpochSource* source, uint64_t epoch_requests) {
   SegmentChecker checker(epoch_requests);
-  PairedSegmentCursor cursor(trace_bytes, advice_bytes);
-  std::vector<LintDiagnostic> file_diags;
-  EpochSegment segment;
-  bool container_error = false;
-  while (true) {
-    int r = cursor.Next(&segment, &file_diags);
-    if (r < 0) {
-      container_error = true;
-      break;
-    }
-    if (r == 0 || !checker.CheckEpoch(segment)) {
-      break;
-    }
+  for (const EpochSegment* segment = source->Next();
+       segment != nullptr && checker.CheckEpoch(*segment); segment = source->Next()) {
   }
   CheckResult result;
-  if (container_error) {
-    // An unreadable stream has no meaningful end-of-stream state; skip the
-    // finish rules and let the file-layer finding be the verdict.
+  if (source->finding()) {
     result = checker.Abandon();
-    for (LintDiagnostic& d : file_diags) {
-      result.diagnostics.push_back(std::move(d));
-    }
+    result.diagnostics.push_back(*source->finding());
     result.ok = false;
-    const LintDiagnostic& first = result.diagnostics.back();
-    result.rule = first.rule;
-    result.reason = RejectReasonFor(first);
+    result.rule = source->finding()->rule;
+    result.reason = RejectReasonFor(*source->finding());
   } else {
     result = checker.Finish();
   }
-  result.frames = cursor.frames();
+  result.frames = source->frames();
   return result;
 }
 
 CheckResult SegmentChecker::Abandon() {
   result_.epochs = carry_.epochs();
   return std::move(result_);
-}
-
-CheckResult CheckRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests) {
-  EpochSlices slices = SliceRun(trace, advice, epoch_requests);
-  SegmentChecker checker(slices.epoch_requests);
-  for (const EpochSegment& segment : slices.segments) {
-    if (!checker.CheckEpoch(segment)) {
-      break;
-    }
-  }
-  return checker.Finish();
-}
-
-SegmentLoadResult LoadSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                     const std::vector<uint8_t>& advice_bytes,
-                                     uint64_t epoch_requests) {
-  SegmentLoadResult out;
-  out.slices.epoch_requests = epoch_requests;
-  PairedSegmentCursor cursor(trace_bytes, advice_bytes);
-  EpochSegment segment;
-  while (true) {
-    int r = cursor.Next(&segment, &out.diagnostics);
-    if (r < 0) {
-      out.ok = false;
-      const LintDiagnostic& first = out.diagnostics.back();
-      out.rule = first.rule;
-      out.reason = RejectReasonFor(first);
-      break;
-    }
-    if (r == 0) {
-      break;
-    }
-    out.slices.segments.push_back(std::move(segment));
-  }
-  return out;
 }
 
 }  // namespace karousos

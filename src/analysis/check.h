@@ -9,11 +9,16 @@
 // full audit with the same first rule, and the session's fast-reject
 // pre-screen is this same pass, so statically-rejectable advice never reaches
 // ReExec. What the checker skips is re-execution, not state: it holds the
-// same value-carrying carries the session holds. The container walk
-// (PairedSegmentCursor inside check.cc) owns the stream pair's rules
-// KAR-SEG-001 and 010, reads each frame through the shared epoch-frame reader
-// (ReadEpochFrame in src/server/rollover.h: 002 and 003), and is shared with
-// LoadSegmentStreams, the audit path's segment-container front end.
+// same value-carrying carries the session holds. CheckEpochs pulls the epochs
+// from an EpochSource (src/server/rollover.h), the same source the audit loop
+// reads, so the container rules (KAR-SEG-001..003, 010) come from one walk.
+//
+// First-fault rule: both loops judge the stream in epoch order and stop at
+// the first fault, and a container fault is found only when its frame is
+// read. Within an epoch the static rules run before re-execution. So an audit
+// with the pre-screen on reports the check's first fault, container faults
+// included, unless re-execution rejected an earlier epoch: then the audit
+// stops there and never reads the later frames.
 #ifndef SRC_ANALYSIS_CHECK_H_
 #define SRC_ANALYSIS_CHECK_H_
 
@@ -25,7 +30,6 @@
 #include "src/analysis/carry_state.h"
 #include "src/analysis/diagnostic.h"
 #include "src/server/rollover.h"
-#include "src/trace/trace.h"
 
 namespace karousos {
 
@@ -49,8 +53,9 @@ class SegmentChecker {
 
   bool CheckEpoch(const EpochSegment& segment);
   CheckResult Finish();
-  // Result so far without the finish-time rules — for callers whose container
-  // walk failed (a truncated stream has no meaningful end-of-stream state).
+  // Result so far without the finish-time rules — for a source that ended on
+  // a container fault (a truncated stream has no meaningful end-of-stream
+  // state).
   CheckResult Abandon();
 
  private:
@@ -62,31 +67,11 @@ class SegmentChecker {
   CheckResult result_;
 };
 
-// Streaming check of a (trace, advice) container pair: walks both KSEG
-// streams in lockstep (file-layer rules 001..003/010), then runs the
-// SegmentChecker over each decoded epoch.
-CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                const std::vector<uint8_t>& advice_bytes,
-                                uint64_t epoch_requests);
-
-// Slices a monolithic pair (the same SliceRun the session uses) and checks
-// the slices. epoch_requests == 0 checks the run as a single epoch.
-CheckResult CheckRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests);
-
-// Container front end for the audit path: decodes a (trace, advice) container
-// pair into EpochSlices. File-layer findings become a not-ok result with the
-// same reason/rule `karousos check` reports, so a corrupt container rejects
-// identically whether checked or audited.
-struct SegmentLoadResult {
-  bool ok = true;
-  std::string reason;
-  std::string rule;
-  std::vector<LintDiagnostic> diagnostics;
-  EpochSlices slices;
-};
-SegmentLoadResult LoadSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                     const std::vector<uint8_t>& advice_bytes,
-                                     uint64_t epoch_requests);
+// The check loop: runs a SegmentChecker over every epoch `source` yields,
+// stopping at the first error. A source that ends on a container fault
+// abandons the check with that finding as its verdict; otherwise the finish
+// rules run.
+CheckResult CheckEpochs(EpochSource* source, uint64_t epoch_requests);
 
 }  // namespace karousos
 

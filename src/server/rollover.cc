@@ -484,4 +484,71 @@ std::optional<LintDiagnostic> ReadEpochFrame(const SegmentRecord& rec, SegmentKi
   return std::nullopt;
 }
 
+SliceSource::SliceSource(EpochSlices&& slices) : owned_(std::move(slices)), slices_(&owned_) {}
+
+const EpochSegment* SliceSource::Next() {
+  if (slices_ == &owned_ && next_ > 0) {
+    owned_.segments[next_ - 1] = EpochSegment();  // Consumed: free it.
+  }
+  if (next_ >= slices_->segments.size()) return nullptr;
+  return &slices_->segments[next_++];
+}
+
+ContainerPairSource::ContainerPairSource(const std::vector<uint8_t>& trace_bytes,
+                                         const std::vector<uint8_t>& advice_bytes) {
+  trace_ = SegmentReader::FromBytes(trace_bytes.data(), trace_bytes.size(), &trace_open_error_);
+  advice_ =
+      SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &advice_open_error_);
+}
+
+ContainerPairSource::ContainerPairSource(const std::string& trace_path,
+                                         const std::string& advice_path) {
+  trace_ = SegmentReader::OpenFile(trace_path, &trace_open_error_);
+  advice_ = SegmentReader::OpenFile(advice_path, &advice_open_error_);
+}
+
+const EpochSegment* ContainerPairSource::Fail(const char* rule, std::string location,
+                                              std::string message) {
+  finding_ = LintDiagnostic{rule, LintSeverity::kError, std::move(location), std::move(message)};
+  return nullptr;
+}
+
+const EpochSegment* ContainerPairSource::Next() {
+  if (finding_) return nullptr;
+  if (trace_ == nullptr) {
+    return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_open_error_);
+  }
+  if (advice_ == nullptr) {
+    return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_open_error_);
+  }
+  SegmentRecord trace_rec;
+  bool have_trace = trace_->Next(&trace_rec);
+  if (!have_trace && !trace_->ok()) {
+    return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_->error());
+  }
+  SegmentRecord advice_rec;
+  bool have_advice = advice_->Next(&advice_rec);
+  if (!have_advice && !advice_->ok()) {
+    return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_->error());
+  }
+  if (!have_trace && !have_advice) return nullptr;
+  if (have_trace != have_advice) {
+    uint64_t epoch = have_trace ? trace_rec.epoch : advice_rec.epoch;
+    frames_ += 1;
+    return Fail(kKarSeg010, have_trace ? "trace" : "advice",
+                std::string("trace and advice streams disagree on the epoch set: the ") +
+                    (have_trace ? "trace" : "advice") + " stream has a frame for epoch " +
+                    std::to_string(epoch) + " but the " + (have_trace ? "advice" : "trace") +
+                    " stream ended");
+  }
+  frames_ += 2;
+  finding_ = ReadEpochFrame(trace_rec, SegmentKind::kTrace, next_epoch_, "trace", &segment_);
+  if (!finding_) {
+    finding_ = ReadEpochFrame(advice_rec, SegmentKind::kAdvice, next_epoch_, "advice", &segment_);
+  }
+  if (finding_) return nullptr;
+  ++next_epoch_;
+  return &segment_;
+}
+
 }  // namespace karousos

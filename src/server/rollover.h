@@ -28,7 +28,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/analysis/diagnostic.h"
@@ -220,6 +222,67 @@ std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
 std::optional<LintDiagnostic> ReadEpochFrame(const SegmentRecord& rec, SegmentKind want,
                                              uint64_t expected_epoch, const char* container,
                                              EpochSegment* seg);
+
+// A pull source of one run's epoch segments, in epoch order: the one input of
+// the audit loop (AuditSession::Run) and of the check loop (CheckEpochs), over
+// monolithic runs, container pairs and shard files alike.
+class EpochSource {
+ public:
+  EpochSource() = default;
+  EpochSource(const EpochSource&) = delete;
+  EpochSource& operator=(const EpochSource&) = delete;
+  virtual ~EpochSource() = default;
+  // The next segment, valid until the following call; nullptr once the source
+  // has ended, cleanly or on a container fault (finding()).
+  virtual const EpochSegment* Next() = 0;
+  // The container fault the source ended on, if any.
+  const std::optional<LintDiagnostic>& finding() const { return finding_; }
+  // Container frames read so far (0 for in-memory slices).
+  uint64_t frames() const { return frames_; }
+
+ protected:
+  std::optional<LintDiagnostic> finding_;
+  uint64_t frames_ = 0;
+};
+
+// Yields the segments of an EpochSlices. An owning source (from SliceRun or
+// SliceRunOwned) frees each segment once the following one is pulled; a
+// viewing source (a loaded ShardFile's slices) needs them to outlive it.
+class SliceSource final : public EpochSource {
+ public:
+  explicit SliceSource(EpochSlices&& slices);
+  explicit SliceSource(const EpochSlices& slices) : slices_(&slices) {}
+  const EpochSegment* Next() override;
+
+ private:
+  EpochSlices owned_;
+  const EpochSlices* slices_;
+  size_t next_ = 0;
+};
+
+// Walks a (trace, advice) container pair in lockstep, decoding one epoch at a
+// time. Owns the stream pair's container rules, unreadable container
+// (KAR-SEG-001) and stream pairing (010); each frame goes through
+// ReadEpochFrame (002, 003).
+class ContainerPairSource final : public EpochSource {
+ public:
+  // Over in-memory containers, which must outlive the source.
+  ContainerPairSource(const std::vector<uint8_t>& trace_bytes,
+                      const std::vector<uint8_t>& advice_bytes);
+  // Over container files, read one frame at a time.
+  ContainerPairSource(const std::string& trace_path, const std::string& advice_path);
+  const EpochSegment* Next() override;
+
+ private:
+  const EpochSegment* Fail(const char* rule, std::string location, std::string message);
+
+  std::unique_ptr<SegmentReader> trace_;
+  std::unique_ptr<SegmentReader> advice_;
+  std::string trace_open_error_;
+  std::string advice_open_error_;
+  EpochSegment segment_;
+  uint64_t next_epoch_ = 0;
+};
 
 }  // namespace karousos
 

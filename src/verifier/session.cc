@@ -29,8 +29,9 @@ TxnKey ReadTxnKey(CkptReader* c) {
 }  // namespace
 
 AuditSession::AuditSession(const Program& program, const VerifierConfig& config,
-                           uint64_t epoch_requests)
+                           uint64_t epoch_requests, std::optional<std::set<RequestId>> shard_rids)
     : v_(program, config) {
+  v_.shard_rids_ = std::move(shard_rids);
   v_.StreamBegin(epoch_requests);
 }
 
@@ -59,6 +60,31 @@ bool AuditSession::FeedEpoch(const EpochSegment& segment) {
   }
   v_.StreamEpoch(segment);
   return !v_.decided_;
+}
+
+AuditResult AuditSession::Run(EpochSource* source,
+                              const std::function<void(AuditSession&)>& after_epoch) {
+  while (!v_.decided_) {
+    const EpochSegment* segment = source->Next();
+    if (segment == nullptr) {
+      if (source->finding()) {
+        v_.decided_ = true;
+        v_.decided_reason_ = RejectReasonFor(*source->finding());
+        v_.decided_rule_ = source->finding()->rule;
+        v_.decided_epoch_ = next_epoch();
+        v_.diagnostics_.push_back(*source->finding());
+      }
+      break;
+    }
+    if (segment->epoch < next_epoch()) {
+      continue;  // Already covered by the restored checkpoint.
+    }
+    FeedEpoch(*segment);
+    if (after_epoch) {
+      after_epoch(*this);
+    }
+  }
+  return Finish();
 }
 
 AuditResult AuditSession::Finish() { return v_.StreamFinish(); }

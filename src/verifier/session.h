@@ -1,13 +1,14 @@
 // Resumable epoch-streaming audit: AuditSession consumes one EpochSegment at
-// a time (trace window + advice slice + continuity imports, as produced by
-// SliceRun or a collector's segment stream) and assembles the verdict at
-// Finish. Between epochs the session's entire cross-epoch state serializes to
-// a single checkpoint frame, so an interrupted audit resumes from the last
-// completed epoch instead of restarting. Its advice-derived part is one
-// CarryState (src/analysis/carry_state.h), the same tables the KAR-SEG
-// pre-screen and `karousos check` read; it is folded every epoch whether or
-// not the pre-screen runs, so a checkpoint saved under one
-// VerifierConfig::prescreen setting resumes under the other.
+// a time (trace window + advice slice + continuity imports, pulled by Run
+// from an EpochSource: a sliced run, a container pair or a shard file) and
+// assembles the verdict at Finish. Between epochs the session's entire
+// cross-epoch state serializes to a single checkpoint frame, so an
+// interrupted audit resumes from the last completed epoch instead of
+// restarting. Its advice-derived part is one CarryState
+// (src/analysis/carry_state.h), the same tables the KAR-SEG pre-screen and
+// `karousos check` read; it is folded every epoch whether or not the
+// pre-screen runs, so a checkpoint saved under one VerifierConfig::prescreen
+// setting resumes under the other.
 //
 // The session and Verifier::Audit drive the same epoch pipeline
 // (src/verifier/verifier.h); Audit is that pipeline fed the whole run as one
@@ -21,7 +22,10 @@
 #define SRC_VERIFIER_SESSION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,7 +36,10 @@ namespace karousos {
 
 class AuditSession {
  public:
-  AuditSession(const Program& program, const VerifierConfig& config, uint64_t epoch_requests);
+  // `shard_rids`, when set, scopes the audit to the requests one shard owns
+  // (src/verifier/shard_audit.h); unset audits the whole run.
+  AuditSession(const Program& program, const VerifierConfig& config, uint64_t epoch_requests,
+               std::optional<std::set<RequestId>> shard_rids = std::nullopt);
 
   // As Verifier::set_untracked_accesses: attach the §5 race scan's findings
   // (warnings) to the final result. The log must outlive Finish().
@@ -44,6 +51,15 @@ class AuditSession {
   // false once the verdict is already determined — callers may stop feeding
   // and jump to Finish(), or keep draining; both are safe.
   bool FeedEpoch(const EpochSegment& segment);
+
+  // The audit loop: feeds every epoch `source` yields, running `after_epoch`
+  // (a checkpoint writer, say) after each, until the source ends or the
+  // verdict is decided, then returns Finish(). Epochs below next_epoch() are
+  // covered by a restored checkpoint: they are still pulled, so their frames
+  // are still file-checked, but not fed. A source that ends on a container
+  // fault decides the verdict with that finding, as `karousos check` does.
+  AuditResult Run(EpochSource* source,
+                  const std::function<void(AuditSession&)>& after_epoch = nullptr);
 
   // Runs the global end-of-stream checks (write-order lint, continuity
   // import confirmation, isolation, internal-state edges, graph acyclicity)
@@ -76,6 +92,8 @@ class AuditSession {
   size_t peak_resident_advice_bytes() const;
 
  private:
+  friend class ShardAudit;  // Harvests the verifier's state after Run.
+
   Verifier v_;
 };
 

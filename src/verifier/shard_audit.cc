@@ -13,6 +13,7 @@
 #include "src/common/segment.h"
 #include "src/common/serde.h"
 #include "src/server/advice.h"
+#include "src/verifier/session.h"
 
 namespace karousos {
 
@@ -421,9 +422,8 @@ std::optional<ShardArtifact> ShardArtifact::Deserialize(ByteReader* in) {
 
 // --- Shard audit -------------------------------------------------------------
 
-// Friend shim over Verifier's streaming internals (verifier.h forward-declares
-// and befriends this class): drives the scoped streaming audit and harvests
-// the carried state the merge needs after StreamFinish.
+// Friend shim over AuditSession's verifier: runs the shard-scoped session
+// and harvests the carried state the merge needs after Finish.
 class ShardAudit {
  public:
   static ShardArtifact Run(const Program& program, const ShardFile& file,
@@ -444,22 +444,17 @@ class ShardAudit {
     a.write_order_positions = b.write_order_positions;
     a.write_order_total = b.write_order_total;
 
-    // Must outlive the verifier: the scope pointer is held, not copied.
-    std::set<RequestId> owned(b.rids.begin(), b.rids.end());
-
-    Verifier v(program, config);
-    v.SetShardScope(&owned);
-    v.StreamBegin(file.slices.epoch_requests);
-    for (const EpochSegment& seg : file.slices.segments) {
-      v.StreamEpoch(seg);
-    }
-    AuditResult r = v.StreamFinish();
+    AuditSession session(program, config, file.slices.epoch_requests,
+                         std::set<RequestId>(b.rids.begin(), b.rids.end()));
+    SliceSource source(file.slices);
+    AuditResult r = session.Run(&source);
+    const Verifier& v = session.v_;
 
     a.accepted = r.accepted;
     a.reason = r.reason;
     a.rule = r.rule;
     a.diagnostics = r.diagnostics;
-    // Finish-time rejections never set decided_ (StreamFinish catches into the
+    // Finish-time rejections never set decided_ (Finish catches into the
     // result directly), so they order after every mid-stream rejection.
     a.decided_epoch = v.decided_ ? v.decided_epoch_ : b.epochs;
     a.peak_resident = v.peak_resident_;

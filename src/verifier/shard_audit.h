@@ -4,9 +4,9 @@
 // scale-out orthogonal to epoch streaming).
 //
 // Division of labor:
-//   * Each shard audit is a complete streaming audit (AuditSession's phases)
-//     over the replicated trace and the shard's advice slice, scoped to the
-//     shard's requests (Verifier::SetShardScope). Every trace-level check and
+//   * Each shard audit is an AuditSession built with the shard's owned rid
+//     set, run over the shard file's epochs (the replicated trace and the
+//     shard's advice slice) by the one audit loop. Every trace-level check and
 //     every check over shard-owned advice fires exactly as the unsharded
 //     audit would, so a fault inside one shard's content rejects there with
 //     the unsharded rule.
@@ -135,8 +135,8 @@ struct ShardArtifact {
   static std::optional<ShardArtifact> Deserialize(ByteReader* in);
 };
 
-// Runs the full streaming audit over one (loaded and validated) shard file,
-// scoped to the shard's requests, and packages verdict + exports.
+// Runs the shard-scoped AuditSession over one (loaded and validated) shard
+// file's epochs and packages verdict + exports.
 // config.threads and config.prescreen compose exactly as on the epoch axis.
 ShardArtifact RunShardAudit(const Program& program, const ShardFile& file,
                             const VerifierConfig& config);

@@ -340,7 +340,7 @@ void Verifier::AddInternalStateEdges() {
   }
 }
 
-// --- The epoch pipeline (Audit, AuditSession and ShardAudit all drive it) ---
+// --- The epoch pipeline (Audit and AuditSession drive it) -------------------
 
 ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
   auto it = tx_log_idx_.find(TxnKey{ref.rid, ref.tid});
@@ -482,7 +482,7 @@ void Verifier::StreamEpoch(const std::vector<TraceEvent>& window, const Advice& 
       // trace (every shard judges trace defects identically); everything from
       // here on — lint epoch context, boundary edges, re-execution groups,
       // response matching — narrows to the requests this shard owns.
-      if (shard_rids_ != nullptr) {
+      if (shard_rids_) {
         for (auto it = epoch_rids_.begin(); it != epoch_rids_.end();) {
           it = shard_rids_->count(*it) != 0 ? std::next(it) : epoch_rids_.erase(it);
         }
@@ -653,7 +653,7 @@ AuditResult Verifier::StreamFinish() {
       // projection, so the check runs once at audit-merge over the stitched
       // order and merged history instead (same checker, same inputs as the
       // unsharded audit — see src/verifier/shard_audit.cc).
-      if (shard_rids_ == nullptr) {
+      if (!shard_rids_) {
         IsolationCheckResult iso = CheckIsolationIndexed(
             config_.isolation, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
             final_epoch_fed_ ? advice_->write_order : carry_.write_order(), history_);

@@ -68,7 +68,7 @@ struct VerifierConfig {
   // Run the cross-epoch static rules (KAR-SEG-004..009,
   // src/analysis/carry_state.h) as a fast-reject pre-screen inside each fed
   // epoch, before that epoch's re-execution, and at StreamFinish. Only
-  // segment-fed audits (AuditSession, RunShardAudit) consult it:
+  // segment-fed audits (AuditSession, shard audits included) consult it:
   // Verifier::Audit's single final epoch has no cross-epoch state to check,
   // so it never pre-screens. The flag gates the rules, not the state: the
   // carry state folds every epoch either way, so a checkpoint saved with one
@@ -236,7 +236,7 @@ class Verifier {
   void Postprocess();
   void AddInternalStateEdges();
 
-  // --- The epoch pipeline (driven by Audit, AuditSession and ShardAudit) ----
+  // --- The epoch pipeline (driven by Audit and AuditSession) ----------------
   //
   // StreamBegin, then StreamEpoch once per epoch, then StreamFinish. Each
   // epoch runs the slice-local preprocess passes and re-executes the epoch's
@@ -257,23 +257,17 @@ class Verifier {
   ResolvedTxOp ResolveTxOp(const TxOpRef& ref) const;
   ResolvedVarEntry ResolveVarEntry(VarId vid, const OpRef& op) const;
 
-  // Shard-axis scope (src/verifier/shard_audit.h): restricts this audit to
-  // the requests a shard owns. Must be set before StreamBegin. The trace-level
-  // checks (balance, epoch completeness, time precedence) still cover the full
-  // replicated trace; only advice-facing work — re-execution, boundary edges,
-  // response matching — narrows to the owned rids, and continuity imports
-  // targeting foreign-owned requests are exported for the merge to confirm
-  // instead of being confirmed (impossibly) against local carries.
-  void SetShardScope(const std::set<RequestId>* owned) { shard_rids_ = owned; }
   // The trace rids seen so far plus the shard scope, as the carry state's
   // checks and ShardAudit's exports consult them (RidScope::Foreign).
-  RidScope rid_scope() const { return RidScope{&trace_rids_, shard_rids_}; }
+  RidScope rid_scope() const {
+    return RidScope{&trace_rids_, shard_rids_ ? &*shard_rids_ : nullptr};
+  }
   // Epochs fed so far == index of the next epoch. Every fed segment is folded
   // into the carry state; only Audit()'s final epoch is not.
   uint64_t epochs_fed() const { return carry_.epochs() + (final_epoch_fed_ ? 1 : 0); }
 
   void StreamBegin(uint64_t epoch_requests);
-  // Feeds a segment as a non-final epoch (AuditSession, ShardAudit).
+  // Feeds a segment as a non-final epoch (AuditSession).
   void StreamEpoch(const EpochSegment& segment);
   // The epoch body, over caller-owned window, advice slice and imports.
   // `segment` is the segment they alias when one is fed (the end-of-epoch
@@ -368,8 +362,15 @@ class Verifier {
   std::string decided_reason_;
   std::string decided_rule_;
   uint64_t decided_epoch_ = 0;  // Epoch being fed when the rejection surfaced.
-  // Shard scope (not owned; outlives the audit). nullptr == unsharded.
-  const std::set<RequestId>* shard_rids_ = nullptr;
+  // Shard-axis scope (src/verifier/shard_audit.h): the requests one shard
+  // owns, set by AuditSession before the first epoch; unset == unsharded. The
+  // trace-level checks (balance, epoch completeness, time precedence) still
+  // cover the full replicated trace; only advice-facing work — re-execution,
+  // boundary edges, response matching — narrows to the owned rids, and
+  // continuity imports targeting foreign-owned requests are exported for the
+  // merge to confirm instead of being confirmed (impossibly) against local
+  // carries.
+  std::optional<std::set<RequestId>> shard_rids_;
   // Requests belonging to the epoch currently being fed.
   std::set<RequestId> epoch_rids_;
   // Request lifecycle over the whole stream: 1 arrived, 2 responded.

@@ -2,8 +2,9 @@
 // rejected under its own rule, clean streams must check clean at every epoch
 // size, the fast-reject pre-screen must stop a poisoned stream at the epoch
 // where the defect lands, prescreen on/off must be verdict-identical on
-// honest runs, checker and audit must agree diagnostic for diagnostic, and
-// the carry state must survive a checkpoint round trip.
+// honest runs, checker and audit must agree diagnostic for diagnostic (the
+// first fault of a damaged container included), and the carry state must
+// survive a checkpoint round trip.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -13,7 +14,6 @@
 
 #include "src/analysis/check.h"
 #include "src/audit/audit.h"
-#include "src/audit/stream.h"
 #include "src/verifier/session.h"
 #include "src/workload/workload.h"
 #include "tests/support/kseg_mutate.h"
@@ -52,6 +52,22 @@ HonestRun RunStacks(size_t requests = 63, int concurrency = 6) {
   return run;
 }
 
+// The check loop and the audit loop over a container pair.
+CheckResult CheckContainers(const std::vector<uint8_t>& trace_bytes,
+                            const std::vector<uint8_t>& advice_bytes, uint64_t epoch_size) {
+  ContainerPairSource source(trace_bytes, advice_bytes);
+  return CheckEpochs(&source, epoch_size);
+}
+
+AuditResult AuditContainers(const std::vector<uint8_t>& trace_bytes,
+                            const std::vector<uint8_t>& advice_bytes, uint64_t epoch_size) {
+  AppSpec app = MakeStacksApp();
+  AuditSession session(*app.program, VerifierConfig{IsolationLevel::kSerializable, 1},
+                       epoch_size);
+  ContainerPairSource source(trace_bytes, advice_bytes);
+  return session.Run(&source);
+}
+
 // --- Per-rule fixtures ------------------------------------------------------
 
 class SegRuleFixture : public ::testing::TestWithParam<const char*> {};
@@ -67,7 +83,7 @@ TEST_P(SegRuleFixture, CheckerReportsThePlantedRule) {
   ASSERT_FALSE(trace_bytes.empty());
   ASSERT_FALSE(advice_bytes.empty());
 
-  CheckResult check = CheckSegmentStreams(trace_bytes, advice_bytes, kFixtureEpochSize);
+  CheckResult check = CheckContainers(trace_bytes, advice_bytes, kFixtureEpochSize);
   EXPECT_FALSE(check.ok) << "fixture for " << rule << " checked clean";
   EXPECT_EQ(check.rule, rule) << check.reason;
   EXPECT_FALSE(check.reason.empty());
@@ -77,16 +93,14 @@ TEST_P(SegRuleFixture, CheckerReportsThePlantedRule) {
   // Checker and audit run the same rules over the same carry state, so where
   // the audit names a rule they also agree on the reason and on every
   // diagnostic.
-  StreamAuditResult audited =
-      AuditSegments(MakeStacksApp(), trace_bytes, advice_bytes,
-                    VerifierConfig{IsolationLevel::kSerializable, 1}, kFixtureEpochSize);
-  EXPECT_FALSE(audited.audit.accepted) << "audit accepted the " << rule << " fixture";
-  if (!audited.audit.rule.empty()) {
-    EXPECT_EQ(audited.audit.rule, rule) << audited.audit.reason;
-    EXPECT_EQ(audited.audit.reason, check.reason);
-    ASSERT_EQ(audited.audit.diagnostics.size(), check.diagnostics.size());
+  AuditResult audited = AuditContainers(trace_bytes, advice_bytes, kFixtureEpochSize);
+  EXPECT_FALSE(audited.accepted) << "audit accepted the " << rule << " fixture";
+  if (!audited.rule.empty()) {
+    EXPECT_EQ(audited.rule, rule) << audited.reason;
+    EXPECT_EQ(audited.reason, check.reason);
+    ASSERT_EQ(audited.diagnostics.size(), check.diagnostics.size());
     for (size_t i = 0; i < check.diagnostics.size(); ++i) {
-      EXPECT_EQ(audited.audit.diagnostics[i].Format(), check.diagnostics[i].Format())
+      EXPECT_EQ(audited.diagnostics[i].Format(), check.diagnostics[i].Format())
           << "diagnostic " << i;
     }
   }
@@ -112,13 +126,14 @@ INSTANTIATE_TEST_SUITE_P(AllRules, SegRuleFixture,
 TEST(SegmentCheckTest, CleanStreamChecksCleanAtEveryEpochSize) {
   HonestRun run = RunStacks();
   for (uint64_t epoch_size : {uint64_t{1}, uint64_t{7}, uint64_t{0}}) {
-    CheckResult r = CheckRun(run.server.trace, run.server.advice, epoch_size);
+    SliceSource source(SliceRun(run.server.trace, run.server.advice, epoch_size));
+    CheckResult r = CheckEpochs(&source, epoch_size);
     EXPECT_TRUE(r.ok) << "epoch size " << epoch_size << ": " << r.reason;
     EXPECT_TRUE(r.diagnostics.empty());
     EXPECT_EQ(r.rule, "");
   }
   EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
-  CheckResult r = CheckSegmentStreams(EncodeTraceSegments(slices), EncodeAdviceSegments(slices), 7);
+  CheckResult r = CheckContainers(EncodeTraceSegments(slices), EncodeAdviceSegments(slices), 7);
   EXPECT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.epochs, slices.segments.size());
   EXPECT_EQ(r.frames, 2 * slices.segments.size());
@@ -132,17 +147,20 @@ TEST(SegmentCheckTest, PrescreenOffMatchesOnForHonestRuns) {
     VerifierConfig on{IsolationLevel::kSerializable, 1};
     VerifierConfig off = on;
     off.prescreen = false;
-    StreamAuditResult with =
-        AuditStreamed(run.app, run.server.trace, run.server.advice, on, epoch_size);
-    StreamAuditResult without =
-        AuditStreamed(run.app, run.server.trace, run.server.advice, off, epoch_size);
-    EXPECT_TRUE(with.audit.accepted) << with.audit.reason;
-    EXPECT_EQ(with.audit.accepted, without.audit.accepted) << "epoch size " << epoch_size;
-    EXPECT_EQ(with.audit.reason, without.audit.reason);
-    EXPECT_EQ(with.audit.rule, without.audit.rule);
-    ASSERT_EQ(with.audit.diagnostics.size(), without.audit.diagnostics.size());
-    for (size_t i = 0; i < with.audit.diagnostics.size(); ++i) {
-      EXPECT_EQ(with.audit.diagnostics[i].Format(), without.audit.diagnostics[i].Format());
+    const auto audit = [&](const VerifierConfig& config) {
+      AuditSession session(*run.app.program, config, epoch_size);
+      SliceSource source(SliceRun(run.server.trace, run.server.advice, epoch_size));
+      return session.Run(&source);
+    };
+    AuditResult with = audit(on);
+    AuditResult without = audit(off);
+    EXPECT_TRUE(with.accepted) << with.reason;
+    EXPECT_EQ(with.accepted, without.accepted) << "epoch size " << epoch_size;
+    EXPECT_EQ(with.reason, without.reason);
+    EXPECT_EQ(with.rule, without.rule);
+    ASSERT_EQ(with.diagnostics.size(), without.diagnostics.size());
+    for (size_t i = 0; i < with.diagnostics.size(); ++i) {
+      EXPECT_EQ(with.diagnostics[i].Format(), without.diagnostics[i].Format());
     }
   }
 }
@@ -177,6 +195,43 @@ TEST(SegmentCheckTest, FastRejectDecidesAtThePoisonedEpoch) {
   CheckResult check = checker.Finish();
   EXPECT_FALSE(check.ok);
   EXPECT_EQ(check.rule, kKarSeg005);
+}
+
+// --- First fault on a damaged container --------------------------------------
+
+// A cross-epoch defect in epoch 1 plus a CRC-damaged last advice frame. Both
+// loops judge the stream in epoch order, so the check and the audit report
+// the epoch-1 fault, identically, and neither reads the damaged frame.
+TEST(SegmentCheckTest, CheckAndAuditReportTheSameFirstFault) {
+  HonestRun run = RunStacks(60);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
+  ASSERT_GE(slices.segments.size(), 3u);
+  ASSERT_FALSE(slices.segments[0].advice.opcounts.empty());
+  slices.segments[1].advice.opcounts.insert(*slices.segments[0].advice.opcounts.begin());
+  std::vector<uint8_t> trace_bytes = EncodeTraceSegments(slices);
+  std::vector<uint8_t> advice_bytes = EncodeAdviceSegments(slices);
+  advice_bytes.back() ^= 0x01;  // The last byte of the last advice frame's payload.
+
+  CheckResult check = CheckContainers(trace_bytes, advice_bytes, 7);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.rule, kKarSeg005) << check.reason;
+  EXPECT_EQ(check.frames, 4u);
+
+  AuditSession session(*run.app.program, VerifierConfig{IsolationLevel::kSerializable, 1}, 7);
+  ContainerPairSource source(trace_bytes, advice_bytes);
+  AuditResult audited = session.Run(&source);
+  EXPECT_FALSE(audited.accepted);
+  EXPECT_EQ(audited.rule, kKarSeg005) << audited.reason;
+  EXPECT_EQ(audited.reason, check.reason);
+  ASSERT_EQ(audited.diagnostics.size(), check.diagnostics.size());
+  for (size_t i = 0; i < check.diagnostics.size(); ++i) {
+    EXPECT_EQ(audited.diagnostics[i].Format(), check.diagnostics[i].Format())
+        << "diagnostic " << i;
+  }
+  // Decided at epoch 1: epoch 2's frames, let alone the damaged one, were
+  // never read.
+  EXPECT_EQ(session.next_epoch(), 2u);
+  EXPECT_EQ(source.frames(), 4u);
 }
 
 // --- Checkpoint round trip --------------------------------------------------
@@ -214,20 +269,24 @@ std::vector<CarriedDefect> CarriedDefects(const HonestRun& run) {
     if (m.name.rfind("slice:tamper-var-import[", 0) != 0) {
       continue;
     }
-    SegmentLoadResult load = LoadSegmentStreams(m.trace_bytes, m.advice_bytes, 7);
-    EXPECT_TRUE(load.ok) << m.name << ": " << load.reason;
-    for (size_t e = 0; e < load.slices.segments.size(); ++e) {
-      for (const auto& imp : load.slices.segments[e].imports.var_entries) {
+    EpochSlices slices;
+    ContainerPairSource source(m.trace_bytes, m.advice_bytes);
+    while (const EpochSegment* segment = source.Next()) {
+      slices.segments.push_back(*segment);
+    }
+    EXPECT_FALSE(source.finding().has_value()) << m.name;
+    for (size_t e = 0; e < slices.segments.size(); ++e) {
+      for (const auto& imp : slices.segments[e].imports.var_entries) {
         if (imp.value != Value("tampered-import") || EpochOfRid(imp.op.rid, 7) <= e) {
           continue;
         }
         AuditSession probe(*run.app.program, VerifierConfig{IsolationLevel::kSerializable, 1}, 7);
         bool clean = true;
         for (size_t i = 0; i <= e && clean; ++i) {
-          clean = probe.FeedEpoch(load.slices.segments[i]);
+          clean = probe.FeedEpoch(slices.segments[i]);
         }
         if (clean) {
-          out.push_back(CarriedDefect{m.name, std::move(load.slices), e + 1, kKarSeg008});
+          out.push_back(CarriedDefect{m.name, std::move(slices), e + 1, kKarSeg008});
           return out;
         }
       }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/audit/audit.h"
-#include "src/audit/stream.h"
 #include "src/common/segment.h"
 #include "src/kem/varid.h"
 #include "src/verifier/session.h"
@@ -39,6 +38,16 @@ HonestRun RunApp(const std::string& name, size_t requests, int concurrency = 8) 
   Server server(*run.app.program, config);
   run.server = server.Run(GenerateWorkload(wl));
   return run;
+}
+
+// The streamed audit: the run sliced at epoch_size, fed through one session
+// by the audit loop.
+AuditResult AuditSliced(const HonestRun& run, const VerifierConfig& config,
+                        uint64_t epoch_size) {
+  AuditSession session(*run.app.program, config, epoch_size);
+  session.set_untracked_accesses(&run.server.untracked_accesses);
+  SliceSource source(SliceRun(run.server.trace, run.server.advice, epoch_size));
+  return session.Run(&source);
 }
 
 void ExpectSameOutcome(const AuditResult& expected, const AuditResult& actual,
@@ -82,15 +91,13 @@ void ExpectStreamMatchesOneShot(const HonestRun& run) {
                 &run.server.untracked_accesses);
   for (uint64_t epoch_size : {uint64_t{1}, uint64_t{7}, uint64_t{50}, uint64_t{0}}) {
     for (unsigned threads : {1u, 4u}) {
-      StreamAuditResult streamed = AuditStreamed(
-          run.app, run.server.trace, run.server.advice,
-          VerifierConfig{IsolationLevel::kSerializable, threads}, epoch_size,
-          &run.server.untracked_accesses);
+      AuditResult streamed =
+          AuditSliced(run, VerifierConfig{IsolationLevel::kSerializable, threads}, epoch_size);
       std::string context = "epoch_size=" + std::to_string(epoch_size) +
                             " threads=" + std::to_string(threads);
-      ExpectSameOutcome(oneshot, streamed.audit, context);
+      ExpectSameOutcome(oneshot, streamed, context);
       if (epoch_size == 0) {
-        ExpectSameStats(oneshot, streamed.audit, context);
+        ExpectSameStats(oneshot, streamed, context);
       }
     }
   }
@@ -226,15 +233,13 @@ TEST(EpochEquivalenceTest, GetClaimedNotFound) {
   ASSERT_FALSE(oneshot.accepted);
   for (uint64_t epoch_size : {uint64_t{1}, uint64_t{7}, uint64_t{50}, uint64_t{0}}) {
     for (unsigned threads : {1u, 4u}) {
-      StreamAuditResult streamed = AuditStreamed(
-          run.app, run.server.trace, run.server.advice,
-          VerifierConfig{IsolationLevel::kSerializable, threads}, epoch_size,
-          &run.server.untracked_accesses);
+      AuditResult streamed =
+          AuditSliced(run, VerifierConfig{IsolationLevel::kSerializable, threads}, epoch_size);
       std::string context = "epoch_size=" + std::to_string(epoch_size) +
                             " threads=" + std::to_string(threads);
-      EXPECT_FALSE(streamed.audit.accepted) << context;
+      EXPECT_FALSE(streamed.accepted) << context;
       if (epoch_size != 1) {
-        ExpectSameOutcome(oneshot, streamed.audit, context);
+        ExpectSameOutcome(oneshot, streamed, context);
       }
     }
   }
@@ -290,8 +295,8 @@ TEST(EpochCheckpointTest, ResumeFromMidStreamReachesTheSameVerdict) {
       ASSERT_NE(resumed, nullptr) << context << ": " << error;
       EXPECT_EQ(resumed->next_epoch(), half) << context;
       EXPECT_EQ(resumed->epoch_requests(), kEpochSize) << context;
-      FeedRemaining(resumed.get(), slices);
-      AuditResult finished = resumed->Finish();
+      SliceSource source(slices);
+      AuditResult finished = resumed->Run(&source);
       ExpectSameOutcome(oneshot, finished, context);
     }
   }
@@ -391,13 +396,13 @@ TEST(EpochStreamTest, OutOfOrderSegmentRejects) {
 TEST(EpochStreamTest, PeakResidentStaysBelowTheFullAdvice) {
   HonestRun run = RunApp("stacks", 120, 15);
   size_t full = run.server.advice.MeasureSize().total;
-  StreamAuditResult streamed =
-      AuditStreamed(run.app, run.server.trace, run.server.advice,
-                    VerifierConfig{IsolationLevel::kSerializable, 1}, 10);
-  ASSERT_TRUE(streamed.audit.accepted) << streamed.audit.reason;
-  EXPECT_GT(streamed.epochs, 1u);
-  EXPECT_LT(streamed.peak_resident_advice_bytes, full);
-  EXPECT_GT(streamed.peak_resident_advice_bytes, 0u);
+  AuditSession session(*run.app.program, VerifierConfig{IsolationLevel::kSerializable, 1}, 10);
+  SliceSource source(SliceRun(run.server.trace, run.server.advice, 10));
+  AuditResult streamed = session.Run(&source);
+  ASSERT_TRUE(streamed.accepted) << streamed.reason;
+  EXPECT_GT(session.next_epoch(), 1u);
+  EXPECT_LT(session.peak_resident_advice_bytes(), full);
+  EXPECT_GT(session.peak_resident_advice_bytes(), 0u);
 }
 
 }  // namespace

@@ -12,17 +12,24 @@
 
 #include "src/analysis/check.h"
 #include "src/apps/app.h"
-#include "src/audit/stream.h"
 #include "src/common/kcodec.h"
 #include "src/common/segment.h"
 #include "src/server/kseg_codec.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
 #include "src/server/shard.h"
+#include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
 namespace karousos {
 namespace {
+
+// The check loop over one container pair.
+CheckResult CheckContainers(const std::vector<uint8_t>& trace_bytes,
+                            const std::vector<uint8_t>& advice_bytes, uint64_t epoch_requests) {
+  ContainerPairSource source(trace_bytes, advice_bytes);
+  return CheckEpochs(&source, epoch_requests);
+}
 
 struct FixtureSpec {
   const char* name;
@@ -253,8 +260,8 @@ TEST(KsegCompressDifferentialTest, VerdictsMatchRawAcrossMatrix) {
           EncodeAdviceSegments(slices, KsegCompression::All());
 
       // Static model check: same outcome on both encodings.
-      CheckResult raw_check = CheckSegmentStreams(raw_trace, raw_advice, epoch_requests);
-      CheckResult comp_check = CheckSegmentStreams(comp_trace, comp_advice, epoch_requests);
+      CheckResult raw_check = CheckContainers(raw_trace, raw_advice, epoch_requests);
+      CheckResult comp_check = CheckContainers(comp_trace, comp_advice, epoch_requests);
       EXPECT_EQ(raw_check.ok, comp_check.ok);
       EXPECT_EQ(raw_check.reason, comp_check.reason);
       EXPECT_EQ(raw_check.rule, comp_check.rule);
@@ -268,16 +275,18 @@ TEST(KsegCompressDifferentialTest, VerdictsMatchRawAcrossMatrix) {
           VerifierConfig vc;
           vc.threads = threads;
           vc.prescreen = prescreen;
-          StreamAuditResult raw_audit =
-              AuditSegments(app, raw_trace, raw_advice, vc, epoch_requests);
-          StreamAuditResult comp_audit =
-              AuditSegments(app, comp_trace, comp_advice, vc, epoch_requests);
-          EXPECT_TRUE(raw_audit.audit.accepted) << raw_audit.audit.reason;
-          EXPECT_EQ(raw_audit.audit.accepted, comp_audit.audit.accepted);
-          EXPECT_EQ(raw_audit.audit.reason, comp_audit.audit.reason);
-          EXPECT_EQ(raw_audit.audit.rule, comp_audit.audit.rule);
-          EXPECT_EQ(raw_audit.audit.diagnostics.size(), comp_audit.audit.diagnostics.size());
-          EXPECT_EQ(raw_audit.epochs, comp_audit.epochs);
+          AuditSession raw_session(*app.program, vc, epoch_requests);
+          AuditSession comp_session(*app.program, vc, epoch_requests);
+          ContainerPairSource raw_source(raw_trace, raw_advice);
+          ContainerPairSource comp_source(comp_trace, comp_advice);
+          AuditResult raw_audit = raw_session.Run(&raw_source);
+          AuditResult comp_audit = comp_session.Run(&comp_source);
+          EXPECT_TRUE(raw_audit.accepted) << raw_audit.reason;
+          EXPECT_EQ(raw_audit.accepted, comp_audit.accepted);
+          EXPECT_EQ(raw_audit.reason, comp_audit.reason);
+          EXPECT_EQ(raw_audit.rule, comp_audit.rule);
+          EXPECT_EQ(raw_audit.diagnostics.size(), comp_audit.diagnostics.size());
+          EXPECT_EQ(raw_session.next_epoch(), comp_session.next_epoch());
         }
       }
     }
@@ -319,13 +328,13 @@ CompressedPair MakeCompressedPair() {
 TEST(KsegCompressCorruptionTest, TruncationAtEveryByteRejects) {
   CompressedPair pair = MakeCompressedPair();
   CheckResult pristine =
-      CheckSegmentStreams(pair.trace_bytes, pair.advice_bytes, pair.epoch_requests);
+      CheckContainers(pair.trace_bytes, pair.advice_bytes, pair.epoch_requests);
   ASSERT_TRUE(pristine.ok) << pristine.reason;
 
   for (size_t cut = 0; cut < pair.advice_bytes.size(); ++cut) {
     std::vector<uint8_t> truncated(pair.advice_bytes.begin(),
                                    pair.advice_bytes.begin() + static_cast<ptrdiff_t>(cut));
-    CheckResult res = CheckSegmentStreams(pair.trace_bytes, truncated, pair.epoch_requests);
+    CheckResult res = CheckContainers(pair.trace_bytes, truncated, pair.epoch_requests);
     EXPECT_FALSE(res.ok) << "truncated advice stream accepted at cut " << cut;
     EXPECT_EQ(res.rule.rfind("KAR-SEG", 0), 0u) << "cut " << cut << ": rule " << res.rule;
   }
@@ -401,7 +410,7 @@ TEST(KsegCompressCorruptionTest, BitFlipAtEveryPositionIsClean) {
         // decode (garbled rids never match the trace).
         if (!rejected) {
           CheckResult res =
-              CheckSegmentStreams(pair.trace_bytes, flipped, pair.epoch_requests);
+              CheckContainers(pair.trace_bytes, flipped, pair.epoch_requests);
           EXPECT_FALSE(res.ok)
               << "flags flip at byte " << pos << " bit " << bit << " was accepted";
         }

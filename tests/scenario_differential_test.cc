@@ -6,7 +6,8 @@
 //     threads      {1, 4}
 //   × epoch size   {1, 50, 0 = one epoch}
 //   × prescreen    {on, off}
-//   × path         {one-shot AuditOnly, AuditStreamed, AuditSegments}
+//   × path         {one-shot AuditOnly, the audit loop over the sliced run,
+//                   the audit loop over the KSEG containers}
 //
 // The scenarios deliberately span the repo's behavioral surface: the
 // pathological R-concurrent app (motd), handler trees over the KV store
@@ -22,8 +23,8 @@
 #include <vector>
 
 #include "src/audit/audit.h"
-#include "src/audit/stream.h"
 #include "src/server/rollover.h"
+#include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
 namespace karousos {
@@ -121,17 +122,21 @@ TEST_P(ScenarioDifferentialTest, OutcomeIsInvariantAcrossTheMatrix) {
                                         config, &run.server.untracked_accesses);
         ExpectSameOutcome(oracle, oneshot, context + " path=oneshot");
 
+        const auto streamed_from = [&](EpochSource* source) {
+          AuditSession session(*run.app.program, config, epoch_size);
+          session.set_untracked_accesses(&run.server.untracked_accesses);
+          return session.Run(source);
+        };
+
         // Streamed from in-memory structures.
-        StreamAuditResult streamed =
-            AuditStreamed(run.app, run.server.trace, run.server.advice, config,
-                          epoch_size, &run.server.untracked_accesses);
-        ExpectSameOutcome(oracle, streamed.audit, context + " path=streamed");
+        SliceSource sliced(slices);
+        AuditResult streamed = streamed_from(&sliced);
+        ExpectSameOutcome(oracle, streamed, context + " path=streamed");
 
         // Streamed from the serialized KSEG containers (the wire artifact).
-        StreamAuditResult from_kseg =
-            AuditSegments(run.app, trace_kseg, advice_kseg, config, epoch_size,
-                          &run.server.untracked_accesses);
-        ExpectSameOutcome(oracle, from_kseg.audit, context + " path=segments");
+        ContainerPairSource containers(trace_kseg, advice_kseg);
+        AuditResult from_kseg = streamed_from(&containers);
+        ExpectSameOutcome(oracle, from_kseg, context + " path=segments");
       }
     }
   }

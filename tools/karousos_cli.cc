@@ -27,12 +27,12 @@
 #include "src/analysis/lint.h"
 #include "src/analysis/race.h"
 #include "src/audit/audit.h"
-#include "src/audit/stream.h"
 #include "src/common/json.h"
 #include "src/common/segment.h"
 #include "src/net/wire_server.h"
 #include "src/server/rollover.h"
 #include "src/server/shard.h"
+#include "src/verifier/session.h"
 #include "src/verifier/shard_audit.h"
 #include "src/workload/wire_load.h"
 #include "src/workload/workload.h"
@@ -90,7 +90,8 @@ int Usage() {
                "                  [--isolation ser|rc|ru] [--threads N] [--profile]\n"
                "                  [--epoch-size N] [--checkpoint FILE] [--resume FILE]\n"
                "      --segments: audit DIR/trace.kseg + DIR/advice.kseg (KSEG containers\n"
-               "      are also auto-detected on --trace/--advice; --epoch-size required)\n"
+               "      are also auto-detected on --trace/--advice; --epoch-size required\n"
+               "      unless resuming)\n"
                "      --no-prescreen: disable the static fast-reject pre-screen (same\n"
                "      verdict, purely dynamic rejection path)\n"
                "      --threads: audit-group parallelism (1 = serial, 0 = all hardware\n"
@@ -101,7 +102,8 @@ int Usage() {
                "      epoch); same verdict as the one-shot audit, bounded advice memory\n"
                "      --checkpoint: save the carry state to FILE after every epoch\n"
                "      --resume: restore the carry state from FILE and continue from the\n"
-               "      first unaudited epoch\n"
+               "      first unaudited epoch, at the checkpoint's epoch size (a differing\n"
+               "      --epoch-size is an error)\n"
                "  karousos shard  --trace FILE --advice FILE --shards K --out-dir DIR\n"
                "                  [--epoch-size N] [--shard-mode hash|range] [--compress STAGES]\n"
                "      partition one run into K self-contained shard files DIR/shard<i>.kseg\n"
@@ -593,57 +595,104 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-int CmdAudit(const Args& args) {
-  std::string trace_path = args.trace_path;
-  std::string advice_path = args.advice_path;
-  if (!args.segments_dir.empty()) {
-    trace_path = args.segments_dir + "/trace.kseg";
-    advice_path = args.segments_dir + "/advice.kseg";
+// The input of `audit`, `check` and `analyze`: --segments DIR or a
+// --trace/--advice pair, either KSEG containers or monolithic files.
+struct RunInput {
+  bool containers = false;
+  // Containers: read one frame at a time by the source.
+  std::string trace_path;
+  std::string advice_path;
+  // Monolithic files: the decoded pair.
+  std::optional<Trace> trace;
+  std::optional<Advice> advice;
+
+  // The input's one epoch source. Monolithic files are sliced at
+  // epoch_requests, consuming the decoded advice.
+  std::unique_ptr<EpochSource> Open(uint64_t epoch_requests) {
+    if (containers) {
+      return std::make_unique<ContainerPairSource>(trace_path, advice_path);
+    }
+    return std::make_unique<SliceSource>(
+        SliceRunOwned(*trace, std::move(*advice), epoch_requests));
   }
-  if (trace_path.empty() || advice_path.empty()) {
+};
+
+// Whether `path` starts with the KSEG magic; nullopt when it is unreadable.
+std::optional<bool> IsSegmentFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return std::nullopt;
+  }
+  std::vector<uint8_t> head(sizeof(kSegmentMagic));
+  in.read(reinterpret_cast<char*>(head.data()), static_cast<std::streamsize>(head.size()));
+  head.resize(static_cast<size_t>(in.gcount()));
+  return LooksLikeSegmentFile(head);
+}
+
+// Reads and sniffs the input into *in. Containers need --epoch-size unless
+// `epoch_size_from_checkpoint`. Returns the exit status on failure.
+std::optional<int> ReadRunInput(const Args& args, bool epoch_size_from_checkpoint,
+                                RunInput* in) {
+  in->trace_path = args.trace_path;
+  in->advice_path = args.advice_path;
+  if (!args.segments_dir.empty()) {
+    in->trace_path = args.segments_dir + "/trace.kseg";
+    in->advice_path = args.segments_dir + "/advice.kseg";
+  }
+  if (in->trace_path.empty() || in->advice_path.empty()) {
     return Usage();
   }
-  auto trace_bytes = ReadFile(trace_path);
-  auto advice_bytes = ReadFile(advice_path);
+  std::optional<bool> trace_kseg = IsSegmentFile(in->trace_path);
+  std::optional<bool> advice_kseg = IsSegmentFile(in->advice_path);
+  if (!trace_kseg || !advice_kseg) {
+    std::fprintf(stderr, "failed to read inputs\n");
+    return 1;
+  }
+  in->containers = *trace_kseg || *advice_kseg;
+  if (in->containers) {
+    if (!args.epoch_size_set && !epoch_size_from_checkpoint) {
+      std::fprintf(stderr, "--epoch-size is required for segment containers\n");
+      return 2;
+    }
+    return std::nullopt;
+  }
+  auto trace_bytes = ReadFile(in->trace_path);
+  auto advice_bytes = ReadFile(in->advice_path);
   if (!trace_bytes || !advice_bytes) {
     std::fprintf(stderr, "failed to read inputs\n");
     return 1;
   }
-  const bool containers =
-      LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes);
-  if (containers && !args.epoch_size_set) {
-    std::fprintf(stderr, "--epoch-size is required for segment containers\n");
-    return 2;
+  ByteReader trace_reader(*trace_bytes);
+  in->trace = Trace::Deserialize(&trace_reader);
+  if (!in->trace) {
+    std::printf("REJECTED: malformed trace file\n");
+    return 1;
   }
-  std::optional<Trace> trace;
-  std::optional<Advice> advice;
-  if (!containers) {
-    ByteReader trace_reader(*trace_bytes);
-    trace = Trace::Deserialize(&trace_reader);
-    if (!trace) {
-      std::printf("REJECTED: malformed trace file\n");
-      return 1;
-    }
-    ByteReader advice_reader(*advice_bytes);
-    advice = Advice::Deserialize(&advice_reader);
-    if (!advice) {
-      std::printf("REJECTED: malformed advice (server misbehavior)\n");
-      return 1;
-    }
-    // The decoded pair is all the audit reads: drop the file bytes.
-    trace_bytes.reset();
-    advice_bytes.reset();
+  ByteReader advice_reader(*advice_bytes);
+  in->advice = Advice::Deserialize(&advice_reader);
+  if (!in->advice) {
+    std::printf("REJECTED: malformed advice (server misbehavior)\n");
+    return 1;
+  }
+  return std::nullopt;
+}
+
+int CmdAudit(const Args& args) {
+  RunInput in;
+  if (auto status = ReadRunInput(args, !args.resume_path.empty(), &in)) {
+    return *status;
   }
   AppSpec app = MakeApp(args.app);
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
   config.prescreen = !args.no_prescreen;
 
   AuditResult audit;
-  if (containers || args.epoch_size_set || !args.resume_path.empty() ||
-      !args.checkpoint_path.empty()) {
-    // Epoch-streamed path: both inputs become epoch slices (containers are
-    // file-checked and decoded, monolithic files sliced), fed one epoch at a
-    // time with the carry state (optionally) persisted after every epoch.
+  if (!in.containers && !args.epoch_size_set && args.resume_path.empty() &&
+      args.checkpoint_path.empty()) {
+    audit = AuditOnly(app, *in.trace, *in.advice, config);
+  } else {
+    // Epoch-streamed path: one epoch at a time through the session, with the
+    // carry state (optionally) persisted after every epoch.
     std::unique_ptr<AuditSession> session;
     if (!args.resume_path.empty()) {
       auto checkpoint = ReadFile(args.resume_path);
@@ -657,29 +706,22 @@ int CmdAudit(const Args& args) {
         std::printf("REJECTED: %s\n", error.c_str());
         return 1;
       }
+      // A resume runs at the checkpoint's epoch size, or epoch indices would
+      // not line up with the audited prefix.
+      if (args.epoch_size_set && args.epoch_size != session->epoch_requests()) {
+        std::fprintf(stderr, "--epoch-size %llu disagrees with the checkpoint's epoch size %llu\n",
+                     static_cast<unsigned long long>(args.epoch_size),
+                     static_cast<unsigned long long>(session->epoch_requests()));
+        return 2;
+      }
       std::printf("resumed from %s at epoch %llu\n", args.resume_path.c_str(),
                   static_cast<unsigned long long>(session->next_epoch()));
     } else {
       session = std::make_unique<AuditSession>(*app.program, config, args.epoch_size);
     }
-    // Resume must slice at the checkpoint's epoch size, or epoch indices
-    // would not line up with the audited prefix.
-    EpochSlices slices;
-    if (containers) {
-      SegmentLoadResult load =
-          LoadSegmentStreams(*trace_bytes, *advice_bytes, session->epoch_requests());
-      if (!load.ok) {
-        std::printf("REJECTED: %s\n", load.reason.c_str());
-        return 1;
-      }
-      slices = std::move(load.slices);
-      trace_bytes.reset();
-      advice_bytes.reset();
-    } else {
-      slices = SliceRunOwned(*trace, std::move(*advice), session->epoch_requests());
-    }
+    std::unique_ptr<EpochSource> source = in.Open(session->epoch_requests());
     bool checkpoint_failed = false;
-    FeedRemaining(session.get(), slices, [&](AuditSession& s) {
+    audit = session->Run(source.get(), [&](AuditSession& s) {
       if (!args.checkpoint_path.empty() &&
           !WriteFile(args.checkpoint_path, s.SaveCheckpoint())) {
         checkpoint_failed = true;
@@ -689,13 +731,10 @@ int CmdAudit(const Args& args) {
       std::fprintf(stderr, "failed to write %s\n", args.checkpoint_path.c_str());
       return 1;
     }
-    audit = session->Finish();
-    std::printf("streamed %zu epochs (epoch size %llu), peak resident advice %zu B\n",
-                slices.segments.size(),
+    std::printf("streamed %llu epochs (epoch size %llu), peak resident advice %zu B\n",
+                static_cast<unsigned long long>(session->next_epoch()),
                 static_cast<unsigned long long>(session->epoch_requests()),
                 session->peak_resident_advice_bytes());
-  } else {
-    audit = AuditOnly(app, *trace, *advice, config);
   }
   if (args.profile) {
     std::printf("%s\n", AuditProfileToJson(audit.profile).c_str());
@@ -1079,74 +1118,37 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-// The streaming static model check: file-layer walk + per-epoch KAR-ADV lint
-// + cross-epoch KAR-SEG rules, no re-execution. Shared by `check` and by
-// `analyze` when it is handed segment containers.
-int RunSegmentCheck(const std::vector<uint8_t>& trace_bytes,
-                    const std::vector<uint8_t>& advice_bytes, uint64_t epoch_requests) {
-  CheckResult result = CheckSegmentStreams(trace_bytes, advice_bytes, epoch_requests);
+// The streaming static model check: per-epoch KAR-ADV lint + cross-epoch
+// KAR-SEG rules over the input's epochs (containers are also file-checked),
+// no re-execution. Shared by `check` and by `analyze` when it is handed
+// segment containers.
+int RunCheck(RunInput* in, uint64_t epoch_requests) {
+  CheckResult result = CheckEpochs(in->Open(epoch_requests).get(), epoch_requests);
   for (const LintDiagnostic& d : result.diagnostics) {
     std::printf("%s\n", d.Format().c_str());
   }
-  if (result.ok) {
-    std::printf("model check: clean (%llu epochs, %llu frames)\n",
-                static_cast<unsigned long long>(result.epochs),
-                static_cast<unsigned long long>(result.frames));
-    return 0;
+  if (!result.ok) {
+    std::printf("REJECTED: %s\n", result.reason.c_str());
+    return 1;
   }
-  std::printf("REJECTED: %s\n", result.reason.c_str());
-  return 1;
+  std::printf("model check: clean (%llu epochs", static_cast<unsigned long long>(result.epochs));
+  if (in->containers) {
+    std::printf(", %llu frames", static_cast<unsigned long long>(result.frames));
+  }
+  std::printf(")\n");
+  return 0;
 }
 
 // `karousos check`: the static half of the audit, standalone. Accepts the
 // segmented production artifact (--segments DIR or KSEG --trace/--advice) or
-// a monolithic pair, which it slices at --epoch-size first.
+// a monolithic pair, which it slices at --epoch-size first (default 0 = one
+// epoch).
 int CmdCheck(const Args& args) {
-  std::string trace_path = args.trace_path;
-  std::string advice_path = args.advice_path;
-  if (!args.segments_dir.empty()) {
-    trace_path = args.segments_dir + "/trace.kseg";
-    advice_path = args.segments_dir + "/advice.kseg";
+  RunInput in;
+  if (auto status = ReadRunInput(args, false, &in)) {
+    return *status;
   }
-  if (trace_path.empty() || advice_path.empty()) {
-    return Usage();
-  }
-  auto trace_bytes = ReadFile(trace_path);
-  auto advice_bytes = ReadFile(advice_path);
-  if (!trace_bytes || !advice_bytes) {
-    std::fprintf(stderr, "failed to read inputs\n");
-    return 1;
-  }
-  if (LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes)) {
-    if (!args.epoch_size_set) {
-      std::fprintf(stderr, "--epoch-size is required for segment containers\n");
-      return 2;
-    }
-    return RunSegmentCheck(*trace_bytes, *advice_bytes, args.epoch_size);
-  }
-  ByteReader trace_reader(*trace_bytes);
-  auto trace = Trace::Deserialize(&trace_reader);
-  if (!trace) {
-    std::printf("malformed trace file\n");
-    return 1;
-  }
-  ByteReader advice_reader(*advice_bytes);
-  auto advice = Advice::Deserialize(&advice_reader);
-  if (!advice) {
-    std::printf("malformed advice file\n");
-    return 1;
-  }
-  CheckResult result = CheckRun(*trace, *advice, args.epoch_size);
-  for (const LintDiagnostic& d : result.diagnostics) {
-    std::printf("%s\n", d.Format().c_str());
-  }
-  if (result.ok) {
-    std::printf("model check: clean (%llu epochs)\n",
-                static_cast<unsigned long long>(result.epochs));
-    return 0;
-  }
-  std::printf("REJECTED: %s\n", result.reason.c_str());
-  return 1;
+  return RunCheck(&in, args.epoch_size);
 }
 
 // Runs the structural advice linter over (trace, advice) files — the same
@@ -1154,41 +1156,20 @@ int CmdCheck(const Args& args) {
 // re-execution. Prints every diagnostic; exits 1 iff there are findings.
 // Segment containers divert to the streaming model check.
 int CmdAnalyzeLint(const Args& args) {
-  if (args.trace_path.empty() || args.advice_path.empty()) {
-    return Usage();
+  RunInput in;
+  if (auto status = ReadRunInput(args, false, &in)) {
+    return *status;
   }
-  auto trace_bytes = ReadFile(args.trace_path);
-  auto advice_bytes = ReadFile(args.advice_path);
-  if (!trace_bytes || !advice_bytes) {
-    std::fprintf(stderr, "failed to read inputs\n");
-    return 1;
+  if (in.containers) {
+    return RunCheck(&in, args.epoch_size);
   }
-  if (LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes)) {
-    if (!args.epoch_size_set) {
-      std::fprintf(stderr, "--epoch-size is required for segment containers\n");
-      return 2;
-    }
-    return RunSegmentCheck(*trace_bytes, *advice_bytes, args.epoch_size);
-  }
-  ByteReader trace_reader(*trace_bytes);
-  auto trace = Trace::Deserialize(&trace_reader);
-  if (!trace) {
-    std::printf("malformed trace file\n");
-    return 1;
-  }
-  ByteReader advice_reader(*advice_bytes);
-  auto advice = Advice::Deserialize(&advice_reader);
-  if (!advice) {
-    std::printf("malformed advice file\n");
-    return 1;
-  }
-  std::vector<LintDiagnostic> diagnostics = LintAdvice(*trace, *advice);
+  std::vector<LintDiagnostic> diagnostics = LintAdvice(*in.trace, *in.advice);
   for (const LintDiagnostic& d : diagnostics) {
     std::printf("%s\n", d.Format().c_str());
   }
   if (diagnostics.empty()) {
     std::printf("advice lint: clean (%zu requests, %zu var-log entries)\n",
-                advice->tags.size(), advice->var_log_entry_count());
+                in.advice->tags.size(), in.advice->var_log_entry_count());
     return 0;
   }
   std::printf("advice lint: %zu finding(s)\n", diagnostics.size());

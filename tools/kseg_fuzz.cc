@@ -37,8 +37,8 @@
 #include "tests/support/kseg_mutate.h"
 #include "tests/support/shard_mutate.h"
 #include "src/apps/app.h"
-#include "src/audit/stream.h"
 #include "src/server/server.h"
+#include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
 namespace karousos {
@@ -99,6 +99,21 @@ struct FamilyStats {
   }
 };
 
+// The check loop and the audit loop over one container pair.
+CheckResult CheckContainers(const std::vector<uint8_t>& trace_bytes,
+                            const std::vector<uint8_t>& advice_bytes, uint64_t epoch_size) {
+  ContainerPairSource source(trace_bytes, advice_bytes);
+  return CheckEpochs(&source, epoch_size);
+}
+
+AuditResult AuditContainers(const AppSpec& app, const std::vector<uint8_t>& trace_bytes,
+                            const std::vector<uint8_t>& advice_bytes,
+                            const VerifierConfig& config, uint64_t epoch_size) {
+  AuditSession session(*app.program, config, epoch_size);
+  ContainerPairSource source(trace_bytes, advice_bytes);
+  return session.Run(&source);
+}
+
 FamilyStats RunFamily(const Family& family) {
   FamilyStats stats;
   stats.name = family.name;
@@ -124,18 +139,18 @@ FamilyStats RunFamily(const Family& family) {
   std::vector<uint8_t> honest_trace = EncodeTraceSegments(honest);
   std::vector<uint8_t> honest_advice = EncodeAdviceSegments(honest);
   CheckResult honest_check =
-      CheckSegmentStreams(honest_trace, honest_advice, family.epoch_size);
+      CheckContainers(honest_trace, honest_advice, family.epoch_size);
   if (!honest_check.ok) {
     std::printf("BUG: [%s] honest stream fails the model check: %s\n", family.name,
                 honest_check.reason.c_str());
     ++stats.bugs;
     return stats;
   }
-  StreamAuditResult honest_audit =
-      AuditSegments(app, honest_trace, honest_advice, audit_config, family.epoch_size);
-  if (!honest_audit.audit.accepted) {
+  AuditResult honest_audit =
+      AuditContainers(app, honest_trace, honest_advice, audit_config, family.epoch_size);
+  if (!honest_audit.accepted) {
     std::printf("BUG: [%s] honest stream rejected by the audit: %s\n", family.name,
-                honest_audit.audit.reason.c_str());
+                honest_audit.reason.c_str());
     ++stats.bugs;
     return stats;
   }
@@ -144,18 +159,18 @@ FamilyStats RunFamily(const Family& family) {
   std::vector<uint8_t> packed_trace = EncodeTraceSegments(honest, KsegCompression::All());
   std::vector<uint8_t> packed_advice = EncodeAdviceSegments(honest, KsegCompression::All());
   CheckResult packed_check =
-      CheckSegmentStreams(packed_trace, packed_advice, family.epoch_size);
+      CheckContainers(packed_trace, packed_advice, family.epoch_size);
   if (!packed_check.ok) {
     std::printf("BUG: [%s] compressed honest stream fails the model check: %s\n", family.name,
                 packed_check.reason.c_str());
     ++stats.bugs;
     return stats;
   }
-  StreamAuditResult packed_audit =
-      AuditSegments(app, packed_trace, packed_advice, audit_config, family.epoch_size);
-  if (!packed_audit.audit.accepted) {
+  AuditResult packed_audit =
+      AuditContainers(app, packed_trace, packed_advice, audit_config, family.epoch_size);
+  if (!packed_audit.accepted) {
     std::printf("BUG: [%s] compressed honest stream rejected by the audit: %s\n", family.name,
-                packed_audit.audit.reason.c_str());
+                packed_audit.reason.c_str());
     ++stats.bugs;
     return stats;
   }
@@ -175,23 +190,23 @@ FamilyStats RunFamily(const Family& family) {
     ++kind->mutations;
     CheckResult check;
     try {
-      check = CheckSegmentStreams(m.trace_bytes, m.advice_bytes, family.epoch_size);
+      check = CheckContainers(m.trace_bytes, m.advice_bytes, family.epoch_size);
     } catch (const std::exception& e) {
       std::printf("BUG: [%s] %s: model check crashed: %s\n", family.name, m.name.c_str(),
                   e.what());
       ++stats.bugs;
       continue;
     }
-    StreamAuditResult audited;
+    AuditResult audited;
     try {
       audited =
-          AuditSegments(app, m.trace_bytes, m.advice_bytes, audit_config, family.epoch_size);
+          AuditContainers(app, m.trace_bytes, m.advice_bytes, audit_config, family.epoch_size);
     } catch (const std::exception& e) {
       std::printf("BUG: [%s] %s: audit crashed: %s\n", family.name, m.name.c_str(), e.what());
       ++stats.bugs;
       continue;
     }
-    if (audited.audit.accepted) {
+    if (audited.accepted) {
       std::printf("BUG: [%s] %s: audit ACCEPTED a mutated stream\n", family.name,
                   m.name.c_str());
       ++stats.bugs;
@@ -203,10 +218,10 @@ FamilyStats RunFamily(const Family& family) {
       // The fast-reject contract: where both sides name a rule, the static
       // verdict is the one the audit reports — the pre-screen fired before
       // any replay could.
-      if (!check.rule.empty() && !audited.audit.rule.empty()) {
-        if (check.rule != audited.audit.rule) {
+      if (!check.rule.empty() && !audited.rule.empty()) {
+        if (check.rule != audited.rule) {
           std::printf("BUG: [%s] %s: rule mismatch (check %s vs audit %s)\n", family.name,
-                      m.name.c_str(), check.rule.c_str(), audited.audit.rule.c_str());
+                      m.name.c_str(), check.rule.c_str(), audited.rule.c_str());
           ++stats.bugs;
           continue;
         }

@@ -12,7 +12,8 @@
 // KAR-SEG rule under <seg-out-dir>: kar-seg-NNN.{trace,advice}.kseg, each a
 // KSEG stream carrying exactly one planted defect that the streaming model
 // checker (src/analysis/check.h) must report under that rule. Every pair is
-// self-checked through CheckSegmentStreams before it is written.
+// self-checked through the check loop (CheckEpochs over the container pair)
+// before it is written.
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -240,7 +241,8 @@ int EmitSegmentFixtures(const Trace& trace, const Advice& advice, const std::str
     return 1;
   }
   for (const Fixture& f : fixtures) {
-    CheckResult r = CheckSegmentStreams(f.trace_bytes, f.advice_bytes, kEpochSize);
+    ContainerPairSource source(f.trace_bytes, f.advice_bytes);
+    CheckResult r = CheckEpochs(&source, kEpochSize);
     if (r.ok || r.rule != f.rule) {
       std::fprintf(stderr, "fixture self-check failed for %s: ok=%d rule=%s reason=%s\n",
                    f.rule.c_str(), r.ok, r.rule.c_str(), r.reason.c_str());
