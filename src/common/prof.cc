@@ -9,10 +9,12 @@ std::string AuditProfileToJson(const AuditProfile& profile) {
   std::snprintf(buf, sizeof(buf),
                 "{\"preprocess_seconds\": %.6f, \"reexec_seconds\": %.6f, "
                 "\"postprocess_seconds\": %.6f, \"total_seconds\": %.6f, "
+                "\"read_seconds\": %.6f, \"decode_seconds\": %.6f, "
                 "\"arena_bytes\": %zu, \"advice_index_entries\": %zu, "
                 "\"ops_executed\": %zu, \"ops_per_second\": %.0f}",
                 profile.preprocess_seconds, profile.reexec_seconds,
-                profile.postprocess_seconds, profile.total_seconds, profile.arena_bytes,
+                profile.postprocess_seconds, profile.total_seconds, profile.read_seconds,
+                profile.decode_seconds, profile.arena_bytes,
                 profile.advice_index_entries, profile.ops_executed, profile.OpsPerSecond());
   return buf;
 }

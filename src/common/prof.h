@@ -25,6 +25,11 @@ struct AuditProfile {
   double reexec_seconds = 0;
   double postprocess_seconds = 0;
   double total_seconds = 0;
+  // Input file reads and decode ahead of (or, for container frames, between)
+  // the audit's phases; filled by the CLI, not the verifier, and outside
+  // total_seconds.
+  double read_seconds = 0;
+  double decode_seconds = 0;
 
   // Allocation counters: bytes handed out by the per-group re-execution
   // arenas, and entries in the hashed advice indices built during Preprocess.

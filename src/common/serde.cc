@@ -1,5 +1,6 @@
 #include "src/common/serde.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/digest.h"
@@ -16,7 +17,7 @@ void ByteWriter::WriteVarint(uint64_t v) {
     v >>= 7;
   }
   scratch[n++] = static_cast<uint8_t>(v);
-  buf_.insert(buf_.end(), scratch, scratch + n);
+  WriteBytes(scratch, n);
 }
 
 void ByteWriter::WriteFixed64(uint64_t v) {
@@ -24,7 +25,7 @@ void ByteWriter::WriteFixed64(uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     scratch[i] = static_cast<uint8_t>(v >> (i * 8));
   }
-  buf_.insert(buf_.end(), scratch, scratch + 8);
+  WriteBytes(scratch, 8);
 }
 
 void ByteWriter::WriteFixed32(uint32_t v) {
@@ -32,12 +33,12 @@ void ByteWriter::WriteFixed32(uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     scratch[i] = static_cast<uint8_t>(v >> (i * 8));
   }
-  buf_.insert(buf_.end(), scratch, scratch + 4);
+  WriteBytes(scratch, 4);
 }
 
 void ByteWriter::WriteString(std::string_view s) {
   WriteVarint(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  WriteBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
 void ByteWriter::WriteValue(const Value& v) {
@@ -82,41 +83,78 @@ void ByteWriter::WriteValue(const Value& v) {
 
 namespace {
 
-// Nibble-sliced CRC-32 table (16 entries) for the reflected IEEE polynomial
-// 0xEDB88320: small enough to keep in cache, fast enough for segment files.
-constexpr uint32_t kCrcNibble[16] = {
-    0x00000000, 0x1db71064, 0x3b6e20c8, 0x26d930ac, 0x76dc4190, 0x6b6b51f4,
-    0x4db26158, 0x5005713c, 0xedb88320, 0xf00f9344, 0xd6d6a3e8, 0xcb61b38c,
-    0x9b64c2b0, 0x86d3d2d4, 0xa00ae278, 0xbdbdf21c};
+// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320:
+// kCrc.t[0] is the bytewise table, and kCrc.t[k][b] is the CRC of byte b
+// followed by k zero bytes, so one step folds in eight input bytes.
+struct CrcTables {
+  uint32_t t[8][256];
+};
 
-}  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t size) {
-  uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    crc ^= data[i];
-    crc = (crc >> 4) ^ kCrcNibble[crc & 0x0f];
-    crc = (crc >> 4) ^ kCrcNibble[crc & 0x0f];
+constexpr CrcTables MakeCrcTables() {
+  CrcTables c{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+    c.t[0][i] = crc;
   }
-  return crc ^ 0xffffffffu;
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      c.t[k][i] = (c.t[k - 1][i] >> 8) ^ c.t[0][c.t[k - 1][i] & 0xff];
+    }
+  }
+  return c;
 }
 
-std::optional<uint64_t> ByteReader::ReadVarint() {
+constexpr CrcTables kCrc = MakeCrcTables();
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+// LEB128 varint at buf[*pos], reading no byte at or past `end`; *pos ends
+// past the bytes read, also on failure (the reader's one varint rule).
+inline std::optional<uint64_t> DecodeVarint(const uint8_t* buf, size_t end, size_t* pos) {
+  size_t p = *pos;
   uint64_t v = 0;
   int shift = 0;
-  while (pos_ < size_) {
-    uint8_t b = buf_[pos_++];
+  while (p < end) {
+    uint8_t b = buf[p++];
     if (shift >= 64) {
+      *pos = p;
       return std::nullopt;
     }
     v |= static_cast<uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) {
+      *pos = p;
       return v;
     }
     shift += 7;
   }
+  *pos = p;
   return std::nullopt;
 }
+
+}  // namespace
+
+uint32_t Crc32(const uint8_t* data, size_t size) {
+  const auto& t = kCrc.t;
+  uint32_t crc = 0xffffffffu;
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(data) ^ crc;
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xff];
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::optional<uint64_t> ByteReader::ReadVarint() { return DecodeVarint(buf_, size_, &pos_); }
 
 std::optional<uint64_t> ByteReader::ReadFixed64() {
   if (size_ - pos_ < 8) {
@@ -178,18 +216,27 @@ std::optional<bool> ByteReader::ReadBool() {
 // that container's node, so a value logged N times is materialized once.
 // The key is the exact byte span: a hash match is confirmed by comparing the
 // bytes in full, so a shared node is always the value a fresh decode of
-// those bytes would have built. Interning is only an optimization: past a
-// probe cap or once hashing and comparing have cost kWorkPerInputByte times
-// the input size, it stops and returns fresh nodes, which keeps a decoder
-// linear-time under crafted collisions.
+// those bytes would have built. Interning is only an optimization: every
+// byte scanned, hashed or compared is charged to a budget of
+// kWorkPerInputByte times the input size, and past it (or past a probe cap)
+// the decoder builds fresh nodes, which keeps it linear-time under crafted
+// nesting and collisions.
 class ValueInterner {
  public:
   explicit ValueInterner(size_t input_bytes);
 
-  // `fresh` (a list or map) was decoded from [begin, begin + size). Returns
-  // the node decoded earlier from identical bytes, else remembers `fresh`
-  // and returns it.
-  Value Intern(const uint8_t* begin, size_t size, Value fresh);
+  size_t work_left() const { return work_left_; }
+  bool empty() const { return used_ == 0; }
+  // Charges `bytes` (at most work_left()) of scanning.
+  void Charge(size_t bytes) { work_left_ -= bytes; }
+  // The hash of [begin, begin + size), or nullopt once the budget cannot
+  // cover reading it.
+  std::optional<uint64_t> Hash(const uint8_t* begin, size_t size);
+  // The node decoded earlier from the bytes [begin, begin + size), which
+  // hash to `hash`, if the table holds it.
+  const Value* Find(uint64_t hash, const uint8_t* begin, size_t size);
+  // Remembers `value` as decoded from those bytes.
+  void Insert(uint64_t hash, const uint8_t* begin, size_t size, const Value& value);
 
  private:
   struct Slot {
@@ -205,7 +252,7 @@ class ValueInterner {
 
   std::vector<Slot> slots_;  // Open addressing, power-of-two capacity.
   size_t used_ = 0;
-  size_t work_left_;  // Bytes still allowed to be hashed or compared.
+  size_t work_left_;  // Bytes still allowed to be scanned, hashed or compared.
 };
 
 namespace {
@@ -231,35 +278,50 @@ uint64_t HashSpan(const uint8_t* p, size_t n) {
 ValueInterner::ValueInterner(size_t input_bytes)
     : work_left_(input_bytes * kWorkPerInputByte) {}
 
-Value ValueInterner::Intern(const uint8_t* begin, size_t size, Value fresh) {
+std::optional<uint64_t> ValueInterner::Hash(const uint8_t* begin, size_t size) {
   if (size > work_left_) {
-    return fresh;
+    return std::nullopt;
   }
   work_left_ -= size;
-  if (2 * (used_ + 1) > slots_.size()) {
-    Grow();
+  return HashSpan(begin, size);
+}
+
+const Value* ValueInterner::Find(uint64_t hash, const uint8_t* begin, size_t size) {
+  if (slots_.empty()) {
+    return nullptr;
   }
-  const uint64_t hash = HashSpan(begin, size);
   const size_t mask = slots_.size() - 1;
   for (size_t probe = 0, i = hash & mask; probe < kMaxProbes; ++probe, i = (i + 1) & mask) {
-    Slot& slot = slots_[i];
+    const Slot& slot = slots_[i];
     if (slot.begin == nullptr) {
-      slot = Slot{hash, begin, size, fresh};
-      ++used_;
-      return fresh;
+      return nullptr;
     }
     if (slot.hash != hash || slot.size != size) {
       continue;
     }
     if (size > work_left_) {
-      return fresh;
+      return nullptr;
     }
     work_left_ -= size;
     if (std::memcmp(slot.begin, begin, size) == 0) {
-      return slot.value;
+      return &slot.value;
     }
   }
-  return fresh;
+  return nullptr;
+}
+
+void ValueInterner::Insert(uint64_t hash, const uint8_t* begin, size_t size, const Value& value) {
+  if (2 * (used_ + 1) > slots_.size()) {
+    Grow();
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t probe = 0, i = hash & mask; probe < kMaxProbes; ++probe, i = (i + 1) & mask) {
+    if (slots_[i].begin == nullptr) {
+      slots_[i] = Slot{hash, begin, size, value};
+      ++used_;
+      return;
+    }
+  }
 }
 
 // Rehashes into twice the capacity under the same probe cap; an entry that
@@ -289,13 +351,70 @@ ByteReader::ByteReader(const uint8_t* data, size_t size) : buf_(data), size_(siz
 
 ByteReader::~ByteReader() = default;
 
-std::optional<Value> ByteReader::ReadValue() { return ReadValueAt(nullptr, 0); }
+std::optional<Value> ByteReader::ReadValue() { return ReadValueAt(StringCoding{}, 0); }
 
-std::optional<Value> ByteReader::ReadValue(const StringSource& strings) {
-  return ReadValueAt(&strings, 0);
+std::optional<Value> ByteReader::ReadValue(const StringSource& strings,
+                                           std::optional<uint64_t> dict_size) {
+  return ReadValueAt(StringCoding{&strings, dict_size}, 0);
 }
 
-std::optional<Value> ByteReader::ReadValueAt(const StringSource* strings, int depth) {
+bool ByteReader::SkipString(const StringCoding& coding, size_t* pos, size_t end) const {
+  auto n = DecodeVarint(buf_, end, pos);
+  if (!n) {
+    return false;
+  }
+  if (coding.source != nullptr) {
+    return *n < *coding.dict_size;
+  }
+  if (*n > end - *pos) {
+    return false;
+  }
+  *pos += *n;
+  return true;
+}
+
+bool ByteReader::SkipValueAt(const StringCoding& coding, size_t* pos, size_t end,
+                             int depth) const {
+  if (*pos >= end) {
+    return false;
+  }
+  const uint8_t kind = buf_[(*pos)++];
+  switch (kind) {
+    case static_cast<uint8_t>(Value::Kind::kNull):
+      return true;
+    case static_cast<uint8_t>(Value::Kind::kBool):
+      return *pos < end && buf_[(*pos)++] <= 1;
+    case static_cast<uint8_t>(Value::Kind::kInt):
+      return DecodeVarint(buf_, end, pos).has_value();
+    case static_cast<uint8_t>(Value::Kind::kDouble):
+      if (end - *pos < 8) {
+        return false;
+      }
+      *pos += 8;
+      return true;
+    case static_cast<uint8_t>(Value::Kind::kString):
+      return SkipString(coding, pos, end);
+    case static_cast<uint8_t>(Value::Kind::kList):
+    case static_cast<uint8_t>(Value::Kind::kMap): {
+      auto n = DecodeVarint(buf_, end, pos);
+      if (depth >= kMaxValueDepth || !n || *n > end - *pos) {
+        return false;
+      }
+      const bool map = kind == static_cast<uint8_t>(Value::Kind::kMap);
+      for (uint64_t i = 0; i < *n; ++i) {
+        if ((map && !SkipString(coding, pos, end)) ||
+            !SkipValueAt(coding, pos, end, depth + 1)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+std::optional<Value> ByteReader::ReadValueAt(const StringCoding& coding, int depth) {
   const size_t start = pos_;
   auto kind_byte = ReadByte();
   if (!kind_byte || *kind_byte > static_cast<uint8_t>(Value::Kind::kMap)) {
@@ -330,7 +449,7 @@ std::optional<Value> ByteReader::ReadValueAt(const StringSource* strings, int de
       return Value(d);
     }
     case Value::Kind::kString: {
-      auto s = ReadValueString(strings);
+      auto s = ReadValueString(coding);
       if (!s) {
         return std::nullopt;
       }
@@ -340,6 +459,33 @@ std::optional<Value> ByteReader::ReadValueAt(const StringSource* strings, int de
     case Value::Kind::kMap:
       break;
   }
+  const bool coded = coding.source != nullptr;
+  if (!interner_) {
+    interner_ = std::make_unique<ValueInterner>(size_);
+    interned_coded_ = coded;
+  }
+  ValueInterner* interner = interned_coded_ == coded ? interner_.get() : nullptr;
+
+  // Lookup before build: skip the container's bytes (within what is left of
+  // the budget), hash them and probe. A hit is the node an earlier decode
+  // built from identical bytes. An empty table cannot hit, so a reader's
+  // first container (a one-value reader's only one) is never scanned.
+  std::optional<uint64_t> hash;
+  size_t span = 0;
+  if (interner != nullptr && !interner->empty() && coding.skippable()) {
+    size_t end = start;
+    const bool whole =
+        SkipValueAt(coding, &end, start + std::min(interner->work_left(), size_ - start), depth);
+    interner->Charge(end - start);
+    if (whole && (hash = interner->Hash(buf_ + start, end - start))) {
+      span = end - start;
+      if (const Value* hit = interner->Find(*hash, buf_ + start, span)) {
+        pos_ = end;
+        return *hit;
+      }
+    }
+  }
+
   auto n = ReadVarint();
   if (depth >= kMaxValueDepth || !n || *n > remaining()) {
     return std::nullopt;
@@ -349,7 +495,7 @@ std::optional<Value> ByteReader::ReadValueAt(const StringSource* strings, int de
     ValueList items;
     items.reserve(*n);
     for (uint64_t i = 0; i < *n; ++i) {
-      auto item = ReadValueAt(strings, depth + 1);
+      auto item = ReadValueAt(coding, depth + 1);
       if (!item) {
         return std::nullopt;
       }
@@ -359,11 +505,11 @@ std::optional<Value> ByteReader::ReadValueAt(const StringSource* strings, int de
   } else {
     ValueMap m;
     for (uint64_t i = 0; i < *n; ++i) {
-      auto key = ReadValueString(strings);
+      auto key = ReadValueString(coding);
       if (!key) {
         return std::nullopt;
       }
-      auto item = ReadValueAt(strings, depth + 1);
+      auto item = ReadValueAt(coding, depth + 1);
       if (!item) {
         return std::nullopt;
       }
@@ -371,14 +517,22 @@ std::optional<Value> ByteReader::ReadValueAt(const StringSource* strings, int de
     }
     fresh = Value(std::move(m));
   }
-  if (!interner_) {
-    interner_ = std::make_unique<ValueInterner>(size_);
-    interned_coded_ = strings != nullptr;
-  }
-  if (interned_coded_ != (strings != nullptr)) {
+  if (interner == nullptr) {
     return fresh;
   }
-  return interner_->Intern(buf_ + start, pos_ - start, std::move(fresh));
+  // A scanned span is the one just built (the scan reads as the build does);
+  // otherwise hash the built span and look it up now.
+  if (!hash || pos_ - start != span) {
+    hash = interner->Hash(buf_ + start, pos_ - start);
+    if (!hash) {
+      return fresh;
+    }
+    if (const Value* earlier = interner->Find(*hash, buf_ + start, pos_ - start)) {
+      return *earlier;
+    }
+  }
+  interner->Insert(*hash, buf_ + start, pos_ - start, fresh);
+  return fresh;
 }
 
 }  // namespace karousos

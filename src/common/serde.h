@@ -21,33 +21,63 @@ namespace karousos {
 
 class ByteWriter {
  public:
+  // A writer that keeps only the count of what is written to it: size()
+  // reads as it would after the same writes to a plain writer, and bytes()
+  // stays empty. Measures an encoding without allocating it.
+  static ByteWriter Counter() {
+    ByteWriter w;
+    w.counting_ = true;
+    return w;
+  }
+
   // LEB128-style varint; small ids and opnums dominate the advice, so this
   // is where the encoding wins its compactness.
   void WriteVarint(uint64_t v);
   void WriteFixed64(uint64_t v);
   void WriteFixed32(uint32_t v);
-  void WriteByte(uint8_t b) { buf_.push_back(b); }
+  void WriteByte(uint8_t b) {
+    if (counting_) {
+      ++counted_;
+    } else {
+      buf_.push_back(b);
+    }
+  }
   void WriteString(std::string_view s);
   void WriteValue(const Value& v);
   void WriteBool(bool b) { WriteByte(b ? 1 : 0); }
   // Raw append, no length prefix — used to splice a pre-encoded body (e.g. a
   // compact KSEG payload assembled after its dictionaries).
-  void WriteBytes(const uint8_t* data, size_t size) { buf_.insert(buf_.end(), data, data + size); }
+  void WriteBytes(const uint8_t* data, size_t size) {
+    if (counting_) {
+      counted_ += size;
+    } else {
+      buf_.insert(buf_.end(), data, data + size);
+    }
+  }
 
   // Pre-sizes the backing buffer so a burst of writes (one advice component,
   // one epoch payload) appends without reallocating.
-  void Reserve(size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+  void Reserve(size_t bytes) {
+    if (!counting_) {
+      buf_.reserve(buf_.size() + bytes);
+    }
+  }
   // Rewinds to empty while keeping the allocation, so one writer can be
   // reused across epochs / components instead of reallocating per use.
-  void Clear() { buf_.clear(); }
+  void Clear() {
+    buf_.clear();
+    counted_ = 0;
+  }
   size_t capacity() const { return buf_.capacity(); }
 
   const std::vector<uint8_t>& bytes() const { return buf_; }
-  size_t size() const { return buf_.size(); }
+  size_t size() const { return buf_.size() + counted_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
   std::vector<uint8_t> buf_;
+  bool counting_ = false;
+  size_t counted_ = 0;  // Bytes written to a Counter().
 };
 
 class ValueInterner;  // Decode-time container interning (serde.cc).
@@ -64,7 +94,8 @@ class ByteReader {
   // ReadValue rejects containers nested deeper than kMaxValueDepth. Within
   // one reader it decodes a list or map whose bytes repeat an earlier one's
   // to that earlier node (see ValueInterner), so repeated values are
-  // materialized once.
+  // materialized once. It looks a container's bytes up before building it,
+  // so a repeat costs a scan of its bytes, not a decode.
   std::optional<uint64_t> ReadVarint();
   std::optional<uint64_t> ReadFixed64();
   std::optional<uint32_t> ReadFixed32();
@@ -76,21 +107,39 @@ class ByteReader {
   std::optional<std::string_view> ReadStringView();
   std::optional<Value> ReadValue();
   // ReadValue for values whose strings and map keys are read by `strings`
-  // instead (the KSEG dict stage codes them as dictionary refs). Equal bytes
-  // mean equal values only under one coding, so a reader interns values of
-  // the coding it decoded first and leaves the other's unshared.
+  // instead. Equal bytes mean equal values only under one coding, so a
+  // reader interns values of the coding it decoded first and leaves the
+  // other's unshared. The KSEG dict stage codes each string as a varint ref
+  // below `dict_size`; knowing that, the reader can skip a value and find a
+  // repeat before building it. A source of another shape (no dict_size) is
+  // only called, so its containers are looked up after they are built.
   using StringSource = std::function<std::optional<std::string>()>;
-  std::optional<Value> ReadValue(const StringSource& strings);
+  std::optional<Value> ReadValue(const StringSource& strings,
+                                 std::optional<uint64_t> dict_size = std::nullopt);
   std::optional<bool> ReadBool();
 
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 
  private:
-  std::optional<Value> ReadValueAt(const StringSource* strings, int depth);
-  std::optional<std::string> ReadValueString(const StringSource* strings) {
-    return strings != nullptr ? (*strings)() : ReadString();
+  // How a value's strings and map keys are coded: inline and length-prefixed
+  // (source == nullptr), or read by `source`, as varint refs below
+  // `dict_size` when that is set.
+  struct StringCoding {
+    const StringSource* source = nullptr;
+    std::optional<uint64_t> dict_size;
+    bool skippable() const { return source == nullptr || dict_size.has_value(); }
+  };
+
+  std::optional<Value> ReadValueAt(const StringCoding& coding, int depth);
+  std::optional<std::string> ReadValueString(const StringCoding& coding) {
+    return coding.source != nullptr ? (*coding.source)() : ReadString();
   }
+  // Moves *pos past the value there exactly as ReadValueAt would read it,
+  // applying the same checks but building nothing. False on malformed bytes
+  // or a value that does not end by `end`; *pos is then where it stopped.
+  bool SkipValueAt(const StringCoding& coding, size_t* pos, size_t end, int depth) const;
+  bool SkipString(const StringCoding& coding, size_t* pos, size_t end) const;
 
   const uint8_t* buf_;
   size_t size_;
@@ -101,7 +150,7 @@ class ByteReader {
 
 // CRC-32 (IEEE 802.3 polynomial, reflected). Used by the epoch segment
 // container to detect payload corruption; a bad checksum is a diagnostic,
-// never a crash or a silent accept.
+// never a crash or a silent accept. Slicing-by-8: eight bytes per step.
 uint32_t Crc32(const uint8_t* data, size_t size);
 inline uint32_t Crc32(const std::vector<uint8_t>& buf) { return Crc32(buf.data(), buf.size()); }
 

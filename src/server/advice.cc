@@ -361,7 +361,7 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in) {
 
 Advice::SizeBreakdown Advice::MeasureSize() const {
   SizeBreakdown b;
-  ByteWriter w;
+  ByteWriter w = ByteWriter::Counter();
   SerializeWithBreakdown(*this, &w, &b);
   return b;
 }

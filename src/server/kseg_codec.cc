@@ -170,7 +170,7 @@ class CompactDecoder {
   // Inverse of CompactEncoder::Val: the plain value grammar, with strings
   // and map keys as dictionary refs under the dict stage.
   std::optional<Value> Val() {
-    return c_.dict ? in_.ReadValue([this] { return Str(); }) : in_.ReadValue();
+    return c_.dict ? in_.ReadValue([this] { return Str(); }, strs_.size()) : in_.ReadValue();
   }
 
   size_t remaining() const { return in_.remaining(); }

@@ -563,8 +563,9 @@ size_t Verifier::MeasureResidentBytes(const EpochSegment& segment) const {
   // What the session must hold to keep auditing: this epoch's slice and
   // imports plus the carried state of every completed epoch, measured in
   // serialized bytes (the same metric as the whole advice's footprint). The
-  // carry state keeps its share as a running count.
-  ByteWriter w;
+  // carry state keeps its share as a running count. The slice is counted,
+  // not written out.
+  ByteWriter w = ByteWriter::Counter();
   segment.advice.Serialize(&w);
   segment.imports.Serialize(&w);
   return w.size() + carry_.resolution_carry_bytes();

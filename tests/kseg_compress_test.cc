@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -420,6 +422,57 @@ TEST(KsegCompressCorruptionTest, BitFlipAtEveryPositionIsClean) {
       // is the clean walk above — no crash, no unbounded allocation.
     }
   }
+}
+
+// Under the dict stage one frame codes every value against one dictionary,
+// so equal lists and maps have equal bytes there, and the decoder finds each
+// repeat before building it: in every epoch of a stacks run (whose
+// accumulators log their whole growing list on each write), each distinct
+// container of the var logs is one node.
+TEST(KsegCompressInternTest, DictCodedFrameDecodesEqualContainersToOneNode) {
+  const FixtureSpec& spec = kFixtures[0];
+  ServerRunResult run = RunFixtureWorkload(spec);
+  EpochSlices slices = SliceRun(run.trace, run.advice, spec.epoch_requests);
+  KsegCompression c;
+  c.dict = true;
+  c.lanes = true;
+  size_t repeats = 0;
+  for (const EpochSegment& seg : slices.segments) {
+    ByteWriter w;
+    EncodeCompactAdvicePayload(seg.advice, seg.imports, c, &w);
+    auto decoded = DecodeCompactAdvicePayload(w.bytes().data(), w.size(), c);
+    ASSERT_TRUE(decoded.has_value()) << "epoch " << seg.epoch;
+    std::map<std::vector<uint8_t>, const void*> node_of;  // Raw encoding -> node.
+    std::function<void(const Value&)> walk = [&](const Value& v) {
+      if (!v.is_list() && !v.is_map()) {
+        return;
+      }
+      const void* node = v.is_list() ? static_cast<const void*>(&v.AsList()) : &v.AsMap();
+      ByteWriter raw;
+      raw.WriteValue(v);
+      auto [it, first] = node_of.emplace(raw.Take(), node);
+      if (!first) {
+        EXPECT_EQ(it->second, node) << "epoch " << seg.epoch << ": " << v.ToString();
+        ++repeats;
+        return;
+      }
+      if (v.is_list()) {
+        for (const Value& item : v.AsList()) {
+          walk(item);
+        }
+      } else {
+        for (const auto& [key, item] : v.AsMap()) {
+          walk(item);
+        }
+      }
+    };
+    for (const auto& [vid, log] : decoded->advice.var_logs) {
+      for (const auto& [op, entry] : log) {
+        walk(entry.value);
+      }
+    }
+  }
+  EXPECT_GT(repeats, 0u);
 }
 
 // Under the dict stage, strings and map keys inside values are dictionary

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <functional>
@@ -71,6 +72,58 @@ TEST(SerdeTest, ClearEmptiesButKeepsCapacityForReuse) {
   ByteReader r(w.bytes());
   EXPECT_EQ(*r.ReadString(), "after clear");
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(SerdeTest, CounterMeasuresWhatAWriterWouldWrite) {
+  const Value v = MakeMap({{"list", MakeList({1, -7, 2.5, "x", Value()})}, {"ok", true}});
+  const uint8_t raw[] = {1, 2, 3};
+  ByteWriter w;
+  ByteWriter counter = ByteWriter::Counter();
+  for (ByteWriter* out : {&w, &counter}) {
+    out->Reserve(1 << 20);
+    out->WriteVarint(300);
+    out->WriteFixed64(~uint64_t{0});
+    out->WriteFixed32(7);
+    out->WriteByte(9);
+    out->WriteBool(true);
+    out->WriteString("abc");
+    out->WriteValue(v);
+    out->WriteBytes(raw, sizeof(raw));
+  }
+  EXPECT_EQ(counter.size(), w.size());
+  EXPECT_TRUE(counter.bytes().empty());
+  EXPECT_EQ(counter.capacity(), 0u);
+  counter.Clear();
+  EXPECT_EQ(counter.size(), 0u);
+}
+
+// One bit at a time, the definition of the reflected CRC-32 step.
+uint32_t BitwiseCrcStep(uint32_t crc, uint8_t byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+  }
+  return crc;
+}
+
+TEST(SerdeTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  Rng rng(29);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Below(256));
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    uint32_t state = 0xffffffffu;
+    for (size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + start, len), state ^ 0xffffffffu)
+          << "start " << start << " len " << len;
+      if (len < 4096) {
+        state = BitwiseCrcStep(state, buf[start + len]);
+      }
+    }
+  }
 }
 
 TEST(SerdeTest, TruncatedVarintFails) {
@@ -203,7 +256,20 @@ TEST(SerdeTest, RandomValueFuzzRoundTrip) {
 // The value grammar decoded the plain way: recursion with the same depth
 // bound and first-wins duplicate map keys, but a fresh node for every
 // container. The interning ByteReader must agree with it on every input.
-std::optional<Value> ReferenceDecode(ByteReader* in, int depth = 0) {
+// With `dict`, strings and map keys are varint refs into it (the KSEG dict
+// stage's coding).
+std::optional<Value> ReferenceDecode(ByteReader* in, int depth = 0,
+                                     const std::vector<std::string>* dict = nullptr) {
+  auto read_string = [&]() -> std::optional<std::string> {
+    if (dict == nullptr) {
+      return in->ReadString();
+    }
+    auto ref = in->ReadVarint();
+    if (!ref || *ref >= dict->size()) {
+      return std::nullopt;
+    }
+    return (*dict)[*ref];
+  };
   auto kind = in->ReadByte();
   if (!kind) {
     return std::nullopt;
@@ -230,7 +296,7 @@ std::optional<Value> ReferenceDecode(ByteReader* in, int depth = 0) {
       return Value(d);
     }
     case Value::Kind::kString: {
-      auto str = in->ReadString();
+      auto str = read_string();
       return str ? std::optional<Value>(Value(*str)) : std::nullopt;
     }
     case Value::Kind::kList:
@@ -243,10 +309,10 @@ std::optional<Value> ReferenceDecode(ByteReader* in, int depth = 0) {
       ValueMap map;
       for (uint64_t i = 0; i < *n; ++i) {
         std::optional<std::string> key;
-        if (*kind == static_cast<uint8_t>(Value::Kind::kMap) && !(key = in->ReadString())) {
+        if (*kind == static_cast<uint8_t>(Value::Kind::kMap) && !(key = read_string())) {
           return std::nullopt;
         }
-        auto item = ReferenceDecode(in, depth + 1);
+        auto item = ReferenceDecode(in, depth + 1, dict);
         if (!item) {
           return std::nullopt;
         }
@@ -509,6 +575,167 @@ TEST(SerdeInternTest, CodedAndPlainReadsNeverShareNodes) {
   EXPECT_EQ(&plain1->AsList(), &plain2->AsList());
 }
 
+// The plain value grammar with strings and map keys as varint refs into
+// *dict (extended on first use), as the KSEG dict stage encodes values.
+size_t DictRef(const std::string& s, std::vector<std::string>* dict) {
+  auto it = std::find(dict->begin(), dict->end(), s);
+  if (it == dict->end()) {
+    dict->push_back(s);
+    return dict->size() - 1;
+  }
+  return static_cast<size_t>(it - dict->begin());
+}
+
+void WriteDictCoded(const Value& v, std::vector<std::string>* dict, ByteWriter* out) {
+  if (v.is_string()) {
+    out->WriteByte(static_cast<uint8_t>(Value::Kind::kString));
+    out->WriteVarint(DictRef(v.AsString(), dict));
+  } else if (v.is_list()) {
+    out->WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+    out->WriteVarint(v.AsList().size());
+    for (const Value& item : v.AsList()) {
+      WriteDictCoded(item, dict, out);
+    }
+  } else if (v.is_map()) {
+    out->WriteByte(static_cast<uint8_t>(Value::Kind::kMap));
+    out->WriteVarint(v.AsMap().size());
+    for (const auto& [key, item] : v.AsMap()) {
+      out->WriteVarint(DictRef(key, dict));
+      WriteDictCoded(item, dict, out);
+    }
+  } else {
+    out->WriteValue(v);
+  }
+}
+
+// What a stacks accumulator logs: every write records the whole growing
+// list of {c, d, l} entries, and a later write bumps one entry's count, so
+// most entries (and the last list, logged twice) repeat earlier bytes. A
+// non-canonical duplicate-key map follows the first list. Encoded plainly,
+// or dict-coded into *dict when it is given.
+std::vector<uint8_t> StacksShapedStream(std::vector<std::string>* dict) {
+  std::vector<Value> values;
+  ValueList acc;
+  const char* digests[] = {"d0", "d1", "d2", "d3"};
+  for (int i = 0; i < 4; ++i) {
+    acc.push_back(MakeMap({{"c", 1}, {"d", digests[i]}, {"l", i}}));
+    values.push_back(Value(acc));
+  }
+  acc[1] = MakeMap({{"c", 2}, {"d", "d1"}, {"l", 1}});
+  values.push_back(Value(acc));
+  values.push_back(Value(acc));
+  ByteWriter w;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (dict != nullptr) {
+      WriteDictCoded(values[i], dict, &w);
+    } else {
+      w.WriteValue(values[i]);
+    }
+    if (i == 0) {
+      if (dict == nullptr) {
+        WriteDuplicateKeyMap(&w);
+        continue;
+      }
+      w.WriteByte(static_cast<uint8_t>(Value::Kind::kMap));
+      w.WriteVarint(2);
+      for (int v : {1, 2}) {
+        w.WriteVarint(DictRef("a", dict));
+        w.WriteValue(Value(v));
+      }
+    }
+  }
+  return w.Take();
+}
+
+// Reads a varint ref from *r and resolves it in *dict, as the KSEG decoder's
+// string source does.
+ByteReader::StringSource DictSource(ByteReader* r, const std::vector<std::string>* dict) {
+  return [r, dict]() -> std::optional<std::string> {
+    auto id = r->ReadVarint();
+    if (!id || *id >= dict->size()) {
+      return std::nullopt;
+    }
+    return (*dict)[*id];
+  };
+}
+
+// Decodes `bytes` value by value with an interning reader (dict-coded when
+// `dict` is given) and with ReferenceDecode, requiring the same outcome, the
+// same value and the same reader position after every read.
+void ExpectDecodesLikeReference(const std::vector<uint8_t>& bytes,
+                                const std::vector<std::string>* dict, size_t at, int byte) {
+  ByteReader r(bytes);
+  ByteReader ref(bytes);
+  const ByteReader::StringSource strings = DictSource(&r, dict);
+  for (int read = 0; !ref.AtEnd(); ++read) {
+    auto got = dict != nullptr ? r.ReadValue(strings, dict->size()) : r.ReadValue();
+    auto want = ReferenceDecode(&ref, 0, dict);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "at " << at << " byte " << byte << " read " << read;
+    ASSERT_EQ(r.remaining(), ref.remaining()) << "at " << at << " byte " << byte << " read " << read;
+    if (!got) {
+      return;
+    }
+    ASSERT_EQ(*got, *want) << "at " << at << " byte " << byte << " read " << read;
+  }
+  EXPECT_TRUE(r.AtEnd());
+}
+
+// Lookup before build skips a container's bytes to probe for a repeat. The
+// skip must follow the decoder's grammar and checks exactly, plain and
+// dict-coded: on every prefix (byte -1) and every single-byte mutation of a
+// stacks-shaped stream, the interning reader agrees with ReferenceDecode.
+TEST(SerdeInternTest, LookupBeforeBuildDecodesLikeReferenceUnderEveryCutAndByte) {
+  for (bool coded : {false, true}) {
+    SCOPED_TRACE(coded ? "dict-coded" : "plain");
+    std::vector<std::string> dict;
+    const std::vector<uint8_t> bytes = StacksShapedStream(coded ? &dict : nullptr);
+    const std::vector<std::string>* d = coded ? &dict : nullptr;
+    ExpectDecodesLikeReference(bytes, d, bytes.size(), -1);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      ExpectDecodesLikeReference(
+          std::vector<uint8_t>(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(cut)), d, cut,
+          -1);
+    }
+    std::vector<uint8_t> mutated = bytes;
+    for (size_t at = 0; at < bytes.size(); ++at) {
+      for (int byte = 0; byte < 256; ++byte) {
+        if (byte == bytes[at]) {
+          continue;
+        }
+        mutated[at] = static_cast<uint8_t>(byte);
+        ExpectDecodesLikeReference(mutated, d, at, byte);
+      }
+      mutated[at] = bytes[at];
+    }
+  }
+}
+
+// Repeats are found before they are built under both codings: the last list
+// (logged twice) is one node, and each unchanged entry is one node across
+// every list that logs it.
+TEST(SerdeInternTest, RepeatedStacksEntriesShareNodesUnderBothCodings) {
+  for (bool coded : {false, true}) {
+    SCOPED_TRACE(coded ? "dict-coded" : "plain");
+    std::vector<std::string> dict;
+    const std::vector<uint8_t> bytes = StacksShapedStream(coded ? &dict : nullptr);
+    ByteReader r(bytes);
+    const ByteReader::StringSource strings = DictSource(&r, &dict);
+    std::vector<Value> got;
+    while (!r.AtEnd()) {
+      auto v = coded ? r.ReadValue(strings, dict.size()) : r.ReadValue();
+      ASSERT_TRUE(v);
+      got.push_back(*v);
+    }
+    ASSERT_EQ(got.size(), 7u);  // Six lists and the duplicate-key map.
+    const Value& last = got[6];
+    EXPECT_EQ(&got[5].AsList(), &last.AsList());
+    EXPECT_EQ(&got[0].AsList()[0].AsMap(), &last.AsList()[0].AsMap());
+    EXPECT_EQ(&got[4].AsList()[3].AsMap(), &last.AsList()[3].AsMap());
+    EXPECT_NE(&got[4].AsList()[1].AsMap(), &last.AsList()[1].AsMap());
+    EXPECT_EQ(last.AsList()[1], MakeMap({{"c", 2}, {"d", "d1"}, {"l", 1}}));
+  }
+}
+
 const void* NodeOf(const Value& v) {
   return v.is_list() ? static_cast<const void*>(&v.AsList()) : &v.AsMap();
 }
@@ -534,6 +761,43 @@ TEST(SerdeInternTest, InterningStopsAtItsWorkBudget) {
     }
     EXPECT_TRUE(r.AtEnd());
     EXPECT_EQ(NodeOf(decoded[0]) == NodeOf(decoded[3]), levels == 8) << levels;
+  }
+}
+
+// Equal bytes decode to equal values only where they fit under the nesting
+// bound, so the skip-scan checks depth too: a repeat that sits too deep
+// still rejects, and one level shallower it decodes to the earlier node.
+TEST(SerdeInternTest, RepeatPastTheDepthBoundIsNotShared) {
+  const Value inner = Nest(8);  // Eight container levels.
+  for (int wrappers : {kMaxValueDepth - 8, kMaxValueDepth - 7}) {
+    ByteWriter w;
+    w.WriteValue(inner);
+    for (int i = 0; i < wrappers; ++i) {
+      w.WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+      w.WriteVarint(1);
+    }
+    w.WriteValue(inner);
+    const size_t end = w.size();
+    // Unread padding: the work budget scales with the input, and this keeps
+    // it from running out before the scans reach the inner copy.
+    for (int i = 0; i < 100000; ++i) {
+      w.WriteByte(0);
+    }
+    ByteReader r(w.bytes());
+    auto first = r.ReadValue();
+    ASSERT_TRUE(first);
+    auto wrapped = r.ReadValue();
+    EXPECT_EQ(wrapped.has_value(), wrappers + 8 <= kMaxValueDepth) << wrappers;
+    if (!wrapped) {
+      continue;
+    }
+    EXPECT_EQ(r.remaining(), w.size() - end);
+    const Value* v = &*wrapped;
+    for (int i = 0; i < wrappers; ++i) {
+      v = &v->AsList()[0];
+    }
+    EXPECT_EQ(*v, inner);
+    EXPECT_EQ(NodeOf(*v), NodeOf(*first));
   }
 }
 

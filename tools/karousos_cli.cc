@@ -97,7 +97,8 @@ int Usage() {
                "      --threads: audit-group parallelism (1 = serial, 0 = all hardware\n"
                "      threads); the verdict is identical for every value\n"
                "      --profile: print phase-timing JSON (Preprocess/ReExec/Postprocess;\n"
-               "      the isolation check runs at the end and counts in Postprocess)\n"
+               "      the isolation check runs at the end and counts in Postprocess;\n"
+               "      read/decode: input file reads and decode, container frames in decode)\n"
                "      --epoch-size: stream the audit in epochs of N requests (0 = one\n"
                "      epoch); same verdict as the one-shot audit, bounded advice memory\n"
                "      --checkpoint: save the carry state to FILE after every epoch\n"
@@ -137,13 +138,21 @@ int Usage() {
   return 2;
 }
 
+// Sizes the buffer from the file's length, then reads it in one call.
 std::optional<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return std::nullopt;
   }
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) {
+    return std::nullopt;
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(size));
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    return std::nullopt;
+  }
+  return bytes;
 }
 
 bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
@@ -595,6 +604,25 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
+// Forwards `inner`'s segments, adding the time of each pull (for a
+// container pair, reading and decoding one epoch's frames) to *seconds.
+class TimedSource final : public EpochSource {
+ public:
+  TimedSource(std::unique_ptr<EpochSource> inner, double* seconds)
+      : inner_(std::move(inner)), seconds_(seconds) {}
+  const EpochSegment* Next() override {
+    PhaseTimer timer(seconds_);
+    const EpochSegment* segment = inner_->Next();
+    finding_ = inner_->finding();
+    frames_ = inner_->frames();
+    return segment;
+  }
+
+ private:
+  std::unique_ptr<EpochSource> inner_;
+  double* seconds_;
+};
+
 // The input of `audit`, `check` and `analyze`: --segments DIR or a
 // --trace/--advice pair, either KSEG containers or monolithic files.
 struct RunInput {
@@ -605,12 +633,18 @@ struct RunInput {
   // Monolithic files: the decoded pair.
   std::optional<Trace> trace;
   std::optional<Advice> advice;
+  // Wall time spent reading the input files and decoding them; container
+  // frames are read and decoded together as the source yields them, and
+  // count as decode time.
+  double read_seconds = 0;
+  double decode_seconds = 0;
 
   // The input's one epoch source. Monolithic files are sliced at
   // epoch_requests, consuming the decoded advice.
   std::unique_ptr<EpochSource> Open(uint64_t epoch_requests) {
     if (containers) {
-      return std::make_unique<ContainerPairSource>(trace_path, advice_path);
+      return std::make_unique<TimedSource>(
+          std::make_unique<ContainerPairSource>(trace_path, advice_path), &decode_seconds);
     }
     return std::make_unique<SliceSource>(
         SliceRunOwned(*trace, std::move(*advice), epoch_requests));
@@ -656,12 +690,15 @@ std::optional<int> ReadRunInput(const Args& args, bool epoch_size_from_checkpoin
     }
     return std::nullopt;
   }
+  PhaseTimer read_timer(&in->read_seconds);
   auto trace_bytes = ReadFile(in->trace_path);
   auto advice_bytes = ReadFile(in->advice_path);
+  read_timer.Stop();
   if (!trace_bytes || !advice_bytes) {
     std::fprintf(stderr, "failed to read inputs\n");
     return 1;
   }
+  PhaseTimer decode_timer(&in->decode_seconds);
   ByteReader trace_reader(*trace_bytes);
   in->trace = Trace::Deserialize(&trace_reader);
   if (!in->trace) {
@@ -670,6 +707,7 @@ std::optional<int> ReadRunInput(const Args& args, bool epoch_size_from_checkpoin
   }
   ByteReader advice_reader(*advice_bytes);
   in->advice = Advice::Deserialize(&advice_reader);
+  decode_timer.Stop();
   if (!in->advice) {
     std::printf("REJECTED: malformed advice (server misbehavior)\n");
     return 1;
@@ -737,6 +775,8 @@ int CmdAudit(const Args& args) {
                 session->peak_resident_advice_bytes());
   }
   if (args.profile) {
+    audit.profile.read_seconds = in.read_seconds;
+    audit.profile.decode_seconds = in.decode_seconds;
     std::printf("%s\n", AuditProfileToJson(audit.profile).c_str());
   }
   if (audit.accepted) {
